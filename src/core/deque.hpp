@@ -51,7 +51,7 @@
 
 namespace scot {
 
-template <class T, SmrDomainV2 Smr>
+template <class T, SmrDomain Smr>
 class Deque {
  public:
   enum class Status : std::uint8_t { kStable, kRPush, kLPush };
@@ -96,6 +96,7 @@ class Deque {
   };
 
   explicit Deque(Smr& smr) : smr_(smr) {
+    require_slots(smr_, kSlotsRequired);
     auto h = scoped_handle(smr_);
     Anchor* a = h->template alloc<Anchor>(nullptr, nullptr, Status::kStable);
     anchor_.store(AMP(a), std::memory_order_release);

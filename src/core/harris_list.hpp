@@ -65,7 +65,7 @@ struct HarrisListWaitFreeTraits : HarrisListTraits {
   static constexpr bool kWaitFree = true;
 };
 
-template <class Key, class Value, SmrDomainV2 Smr,
+template <class Key, class Value, SmrDomain Smr,
           class Traits = HarrisListTraits, class Compare = std::less<Key>>
 class HarrisList {
  public:
@@ -93,6 +93,7 @@ class HarrisList {
   };
 
   explicit HarrisList(Smr& smr, Compare cmp = {}) : smr_(smr), cmp_(cmp) {
+    require_slots(smr_, kSlotsRequired);
     auto h = scoped_handle(smr_);
     Node* tail = h->template alloc<Node>(Key{}, Value{}, 1);
     head_.store(MP(tail), std::memory_order_release);

@@ -25,7 +25,7 @@
 
 namespace scot {
 
-template <class Key, class Value, SmrDomainV2 Smr,
+template <class Key, class Value, SmrDomain Smr,
           class Compare = std::less<Key>>
 class HarrisMichaelList {
  public:
@@ -51,6 +51,7 @@ class HarrisMichaelList {
 
   explicit HarrisMichaelList(Smr& smr, Compare cmp = {})
       : smr_(smr), cmp_(cmp) {
+    require_slots(smr_, kSlotsRequired);
     auto h = scoped_handle(smr_);
     Node* tail = h->template alloc<Node>(Key{}, Value{}, 1);
     head_.store(MP(tail), std::memory_order_release);

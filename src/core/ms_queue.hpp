@@ -39,7 +39,7 @@
 
 namespace scot {
 
-template <class T, SmrDomainV2 Smr>
+template <class T, SmrDomain Smr>
 class MSQueue {
  public:
   struct Node : ReclaimNode {
@@ -64,6 +64,7 @@ class MSQueue {
   };
 
   explicit MSQueue(Smr& smr) : smr_(smr) {
+    require_slots(smr_, kSlotsRequired);
     auto h = scoped_handle(smr_);
     Node* dummy = h->template alloc<Node>();
     head_.store(MP(dummy), std::memory_order_release);

@@ -48,7 +48,7 @@
 
 namespace scot {
 
-template <class Key, class Value, SmrDomainV2 Smr,
+template <class Key, class Value, SmrDomain Smr,
           class Compare = std::less<Key>>
 class NatarajanMittalTree {
  public:
@@ -92,6 +92,7 @@ class NatarajanMittalTree {
 
   explicit NatarajanMittalTree(Smr& smr, Compare cmp = {})
       : smr_(smr), cmp_(cmp) {
+    require_slots(smr_, kSlotsRequired);
     auto sh = scoped_handle(smr_);
     auto& h = sh.get();
     Node* leaf1 = h.template alloc<Node>(Key{}, Value{}, 1);

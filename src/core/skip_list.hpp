@@ -53,7 +53,7 @@ struct SkipListEagerTraits : SkipListTraits {
   static constexpr bool kEagerUnlink = true;  // Herlihy-Shavit discipline
 };
 
-template <class Key, class Value, SmrDomainV2 Smr,
+template <class Key, class Value, SmrDomain Smr,
           class Traits = SkipListTraits, class Compare = std::less<Key>>
 class SkipList {
  public:
@@ -99,6 +99,7 @@ class SkipList {
   };
 
   explicit SkipList(Smr& smr, Compare cmp = {}) : smr_(smr), cmp_(cmp) {
+    require_slots(smr_, kSlotsRequired);
     auto h = scoped_handle(smr_);
     Node* tail = h->template alloc<Node>(
         Key{}, Value{}, std::uint8_t{1}, static_cast<std::uint8_t>(kMaxHeight));

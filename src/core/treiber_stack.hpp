@@ -29,7 +29,7 @@
 
 namespace scot {
 
-template <class T, SmrDomainV2 Smr>
+template <class T, SmrDomain Smr>
 class TreiberStack {
  public:
   struct Node : ReclaimNode {
@@ -45,7 +45,9 @@ class TreiberStack {
 
   static constexpr unsigned kSlotsRequired = 1;
 
-  explicit TreiberStack(Smr& smr) : smr_(smr) {}
+  explicit TreiberStack(Smr& smr) : smr_(smr) {
+    require_slots(smr_, kSlotsRequired);
+  }
 
   ~TreiberStack() {
     auto sh = scoped_handle(smr_);

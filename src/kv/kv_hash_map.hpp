@@ -165,7 +165,7 @@ enum class KvPut {
   kRejected,   // key or value exceeds the pooled-cell ceiling
 };
 
-template <SmrDomainV2 Smr>
+template <SmrDomain Smr>
 class KvHashMap {
  public:
   using Handle = typename Smr::Handle;
@@ -194,6 +194,7 @@ class KvHashMap {
   }
 
   explicit KvHashMap(Smr& smr, Options opt = {}) : smr_(smr) {
+    require_slots(smr_, kSlotsRequired);
     initial_ = std::bit_ceil(std::max<std::size_t>(opt.initial_buckets, 1));
     max_buckets_ = std::max(std::bit_ceil(
                                 std::max<std::size_t>(opt.max_buckets, 1)),

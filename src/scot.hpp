@@ -2,7 +2,7 @@
 //
 // One include gives the whole library surface:
 //
-//   * the reclamation schemes and the SmrDomainV2 contract (smr/smr.hpp),
+//   * the reclamation schemes and the SmrDomain contract (smr/smr.hpp),
 //   * the typed guard-centric protection API — TraversalGuard,
 //     ProtectionSlot, Protected<T> (smr/guard.hpp),
 //   * the SCOT data structures (core/core.hpp),

@@ -1,9 +1,8 @@
-// API v2: typed, guard-centric protection (DESIGN.md §6).
+// Typed, guard-centric protection (DESIGN.md §6).
 //
-// The v1 contract exposed raw slot indices: data structures called
-// `h.protect(src, idx)` / `h.dup(i, j)` and had to maintain the paper's
-// ascending-index discipline by hand with `kHp*` constants.  v2 wraps that
-// in three small types:
+// The handle calls take raw slot indices — `h.protect(src, idx)` /
+// `h.dup(i, j)` — and the paper's ascending-index discipline is easy to get
+// wrong by hand.  Structures use three small types instead:
 //
 //   * `Protected<T>` — a typed view of a pointer (plus its logical-deletion
 //     bits) that a protection slot currently covers.  Invariants: it only
@@ -17,21 +16,19 @@
 //     construction, end_op on destruction, slot allocation in between, and
 //     the funnel for op_valid()/revalidate_op() polling.
 //
-// Everything here is a zero-cost veneer over the v1 handle calls: slots are
-// (handle, index) pairs resolved at compile time, so the per-protect fast
-// path (including the PR 3 asymmetric-fence publication) is byte-identical
-// to v1.  The v1 calls keep working through HandleCore — v2 does not fork
-// the schemes, it renames their call sites.
+// Everything here is a zero-cost veneer over the indexed handle calls:
+// slots are (handle, index) pairs resolved at compile time, so the
+// per-protect fast path (including the asymmetric-fence publication) is
+// exactly the scheme's own protect().
 //
-// Obtaining the Handle a TraversalGuard wraps: new code should use
-// `auto h = scoped_handle(domain)` (smr/handle_registry.hpp) — RAII
-// join/leave against the dynamic handle registry — and construct guards
-// from `*h`.  The tid-indexed `domain.handle(tid)` spelling still works but
-// pins a registry record forever (deprecated shim).
+// Obtaining the Handle a TraversalGuard wraps: `auto h =
+// scoped_handle(domain)` (smr/handle_registry.hpp) — RAII join/leave
+// against the dynamic handle registry — then construct guards from `*h`.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 
@@ -122,7 +119,6 @@ class ProtectionSlot {
 
 // RAII owner of one SMR operation: brackets begin_op/end_op, allocates
 // protection slots in ascending order, and funnels validity polling.
-// Supersedes OpGuard (which remains as the v1 compatibility spelling).
 template <class Handle>
 class TraversalGuard {
  public:
@@ -136,8 +132,9 @@ class TraversalGuard {
 
   // Allocates the next protection index.  Structures allocate all their
   // roles up front, in the order the ascending-dup discipline needs; the
-  // count must stay within SmrConfig::slots_per_thread for slot-based
-  // schemes (each structure documents its requirement as kSlotsRequired).
+  // count must stay within SmrConfig::slots_per_thread (each structure
+  // declares its requirement as kSlotsRequired and checks it with
+  // require_slots() at construction).
   template <class T>
   ProtectionSlot<Handle, T> slot() noexcept {
     return ProtectionSlot<Handle, T>(*h_, next_index_++);
@@ -176,5 +173,17 @@ class TraversalGuard {
   Handle* h_;
   unsigned next_index_ = 0;
 };
+
+// Structure constructors call this with their kSlotsRequired: HP/HE index
+// their slot arrays unchecked on the protect path, so a domain with fewer
+// slots per handle than the structure's traversal uses must be refused up
+// front.  Throws std::invalid_argument.
+template <class Domain>
+void require_slots(const Domain& smr, unsigned required) {
+  if (smr.config().slots_per_thread < required)
+    throw std::invalid_argument(
+        "scot: SmrConfig::slots_per_thread is below the structure's "
+        "kSlotsRequired");
+}
 
 }  // namespace scot

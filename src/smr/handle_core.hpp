@@ -1,9 +1,16 @@
-// CRTP base shared by the per-thread handles of all reclamation schemes.
+// CRTP bases shared by the per-thread handles of all reclamation schemes.
 //
 // A Handle is the per-thread facade of a reclamation domain: all allocation,
 // protection and retirement flows through it.  Handles are *not* thread-safe;
-// handle `tid` must only ever be used by one thread at a time (the benchmark
-// harness and tests enforce this).
+// a joined handle must only ever be used by one thread at a time.
+//
+//  * `HandleCore` — what every handle has: allocation, typed retirement,
+//    the Table 2 counters, the obs cell, the era tick, and no-op defaults
+//    for the DomainCore hooks (smr/domain_core.hpp).
+//  * `LimboHandle` — the shared half of the four limbo-list schemes (EBR,
+//    HP/HPopt, HE, IBR): the private limbo list, the whole retire path up to
+//    the threshold "donate or scan" decision, mailbox adoption, and the
+//    background-reclaimer and leave()/teardown hooks.
 #pragma once
 
 #include <cassert>
@@ -12,6 +19,7 @@
 #include <utility>
 
 #include "obs/stats.hpp"
+#include "obs/trace.hpp"
 #include "smr/guard.hpp"
 #include "smr/handle_registry.hpp"
 #include "smr/node_pool.hpp"
@@ -59,11 +67,12 @@ inline unsigned donate_limbo(LimboList& limbo,
   return donated;
 }
 
-// Adopts every orphaned retire into `limbo` (the limbo-list schemes' side of
+// Adopts every donated retire into `limbo` (the limbo-list schemes' side of
 // the handoff; Hyaline splices into its batch instead).  Returns the number
 // of nodes adopted (0 = the mailbox was raced empty).
-inline unsigned adopt_orphans(OrphanList& orphans, LimboList& limbo) noexcept {
-  ReclaimNode* n = orphans.take_all();
+inline unsigned adopt_orphans(RetireMailbox& mailbox,
+                              LimboList& limbo) noexcept {
+  ReclaimNode* n = mailbox.take_all();
   unsigned adopted = 0;
   while (n != nullptr) {
     ReclaimNode* next = n->smr_next;
@@ -74,10 +83,8 @@ inline unsigned adopt_orphans(OrphanList& orphans, LimboList& limbo) noexcept {
   return adopted;
 }
 
-// Derived must provide:
-//   Domain*  dom_;            (set by constructor)
-//   unsigned tid_;
-//   std::uint64_t on_alloc_era();   // birth era to stamp (0 for non-era schemes)
+// Derived may hide on_alloc_era() (the birth era alloc() stamps; 0 for
+// schemes that never compare lifetimes) and the two DomainCore hooks.
 template <class Domain, class Derived>
 class HandleCore {
  public:
@@ -154,17 +161,26 @@ class HandleCore {
     derived()->retire(static_cast<ReclaimNode*>(p.get()));
   }
 
+  std::uint64_t on_alloc_era() noexcept { return 0; }
+
+  // --- DomainCore hooks (defaults: nothing private to hand off) ------------
+  // leave(): hand the private retire chain off.  Contract: no operation in
+  // flight.
+  void on_leave() {}
+  // Domain teardown: detach the private retire chain for the core to free.
+  ReclaimNode* take_retired() noexcept { return nullptr; }
+
   // --- data-structure statistics (Table 2 of the paper) -------------------
-  // Incremented by the data structures, summed by the harness.  Plain fields:
-  // each handle is single-threaded.  Deliberately NOT reset on record reuse:
-  // they are cumulative domain telemetry, exactly as they were when handles
-  // lived for the whole domain lifetime.
+  // Incremented by the data structures, summed by DomainCore::restarts() /
+  // recoveries().  Plain fields: each handle is single-threaded.
+  // Deliberately NOT reset on record reuse: they are cumulative domain
+  // telemetry.
   std::uint64_t ds_restarts = 0;    // full traversal restarts
   std::uint64_t ds_recoveries = 0;  // §3.2.1 recovery-optimization escapes
 
   // Back-pointer to this handle's HandleRegistry record, set by the
   // domain's join().  Opaque here (the record type depends on the concrete
-  // Handle); domains cast it back in leave().
+  // Handle); the domain casts it back in leave().
   void* registry_record_ = nullptr;
 
   // Observability cell: one padded counter block per registry record,
@@ -176,8 +192,106 @@ class HandleCore {
  protected:
   Derived* derived() noexcept { return static_cast<Derived*>(this); }
 
+  // Advances the domain's era clock once per `era_freq` calls on this
+  // handle (allocations and/or retirements, per scheme).
+  void era_tick() noexcept {
+    if (++tick_ >= dom_->bg_.effective_era_freq()) {
+      tick_ = 0;
+      dom_->clock_.fetch_add(1, std::memory_order_acq_rel);
+      obs::count(stats_, obs::Counter::kEraAdvances);
+    }
+  }
+
   Domain* dom_;
   unsigned tid_;
+  unsigned tick_ = 0;
+};
+
+// Derived provides scan() (free every limbo node no reservation covers) and
+// `static constexpr bool kRetireEras`: true when retire() stamps the node's
+// retire_era from the domain clock and ticks the clock (EBR, HE, IBR).
+template <class Domain, class Derived>
+class LimboHandle : public HandleCore<Domain, Derived> {
+  using Base = HandleCore<Domain, Derived>;
+
+ public:
+  using Base::Base;
+  using Base::retire;  // typed retire(Protected<T>) — API v2
+  using Base::stats_;
+
+  void retire(ReclaimNode* n) {
+    n->debug_state = kNodeRetired;
+    if constexpr (Derived::kRetireEras)
+      n->retire_era = dom_->clock_.load(std::memory_order_acquire);
+    limbo_.push(n);
+    // With the background reclaimer active, mailbox adoption is its job;
+    // when inactive, retirers self-heal both mailboxes (leave() orphans
+    // and anything stranded in the background mailbox by a stop).
+    if (!dom_->bg_.is_active() && adopt_all_mailboxes() > 0) {
+      obs::count(stats_, obs::Counter::kOrphanAdoptions);
+      obs::trace_instant(obs::TraceKind::kAdopt);
+    }
+    dom_->counters_.on_retire(dom_->cfg_.track_stats);
+    obs::count(stats_, obs::Counter::kRetires);
+    obs::peak(stats_, limbo_.count);
+    if constexpr (Derived::kRetireEras) this->era_tick();
+    if (limbo_.count >= dom_->bg_.effective_scan_threshold()) {
+      if (dom_->bg_.is_active()) {
+        // Donate the whole chain (one CAS) and ring the doorbell: no scan,
+        // no reservation snapshot, and on the asymmetric path no heavy
+        // barrier on this (or any) mutator — the service thread issues one
+        // barrier for the entire adopted backlog.
+        donate_limbo(limbo_, dom_->bg_.mailbox);
+        dom_->bg_.thread.ring();
+      } else {
+        this->derived()->scan();
+      }
+    }
+  }
+
+  // --- background-reclaimer hooks (service thread only; DESIGN.md §9) ---
+  // Adopt every donated chain into this handle's limbo list.
+  unsigned bg_collect() { return adopt_all_mailboxes(); }
+  // Run the shared scan (one heavy barrier) if there is a backlog.
+  bool bg_reclaim() {
+    if (limbo_.count == 0) return false;
+    this->derived()->scan();
+    return true;
+  }
+
+  // --- DomainCore hooks ----------------------------------------------------
+  // A final scan reclaims what it can; the rest is donated for adoption by
+  // the next retirer on any live handle.  With the service thread running
+  // the whole backlog goes to it instead, with no exit scan.
+  void on_leave() {
+    if (limbo_.count == 0) return;
+    if (dom_->bg_.is_active()) {
+      donate_limbo(limbo_, dom_->bg_.mailbox);
+      dom_->bg_.thread.ring();
+      obs::count(stats_, obs::Counter::kOrphanDonations);
+    } else {
+      this->derived()->scan();
+      if (donate_limbo(limbo_, dom_->orphans_) > 0)
+        obs::count(stats_, obs::Counter::kOrphanDonations);
+    }
+  }
+  ReclaimNode* take_retired() noexcept { return limbo_.take(); }
+
+ protected:
+  using Base::dom_;
+
+  // Drains both shared mailboxes into the private limbo list; returns the
+  // number of nodes adopted.
+  unsigned adopt_all_mailboxes() {
+    unsigned adopted = 0;
+    if (!dom_->orphans_.empty())
+      adopted += adopt_orphans(dom_->orphans_, limbo_);
+    if (!dom_->bg_.mailbox.empty())
+      adopted += adopt_orphans(dom_->bg_.mailbox, limbo_);
+    return adopted;
+  }
+
+  LimboList limbo_;
 };
 
 }  // namespace scot

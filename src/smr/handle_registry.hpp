@@ -26,15 +26,12 @@
 //    registry id so it can never alias a record of a dead (or different)
 //    registry.
 //
-//  * `ScopedHandle` / `scoped_handle(domain)` — the RAII join/leave spelling
-//    that replaces raw `domain.handle(tid)`.
+//  * `ScopedHandle` / `scoped_handle(domain)` — the RAII join/leave
+//    spelling, and the only way to obtain a handle besides join()/leave().
 //
-//  * `TidHandleShim` — the deprecated fixed-capacity, tid-indexed surface,
-//    kept so pre-registry code and tests compile unchanged.
-//
-//  * `OrphanList` — the domain-side mailbox a departing thread donates its
-//    unreclaimed retires to; any later retirer adopts them (Hyaline-style
-//    handoff generalized to every scheme).
+//  * `RetireMailbox` — the domain-side mailbox a departing thread donates
+//    its unreclaimed retires to; any later retirer adopts them (Hyaline-
+//    style handoff generalized to every scheme).
 //
 // Memory-ordering contract (the late-joiner argument, DESIGN.md §7):
 // `append` publishes a new record with a seq_cst CAS on the list head, and
@@ -49,10 +46,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <cstdio>
-#include <mutex>
 #include <utility>
-#include <vector>
 
 #include "common/align.hpp"
 #include "smr/reclaim_node.hpp"
@@ -66,15 +60,6 @@ inline std::uint64_t next_registry_id() noexcept {
   static std::atomic<std::uint64_t> counter{1};
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
-
-#ifndef SCOT_DISALLOW_TID_SHIM
-// Process-wide (not per shim instantiation), so the deprecation note below
-// prints at most once no matter how many schemes touch their shims.
-inline std::atomic<bool>& shim_warned() noexcept {
-  static std::atomic<bool> warned{false};
-  return warned;
-}
-#endif
 }  // namespace detail
 
 template <class Handle>
@@ -267,57 +252,6 @@ template <class Domain>
   return ScopedHandle<Domain>(d);
 }
 
-// DEPRECATED tid-indexed access, kept so pre-registry code and tests keep
-// compiling: `handle(tid)` lazily joins once per tid and pins the record for
-// the domain's lifetime.  This resurrects the fixed-capacity surface —
-// `tid` must be < max_threads — and takes a mutex on first touch; new code
-// should use scoped_handle() instead.
-//
-// The [[deprecated]] marking is at the type level so any *new* direct use
-// fails loudly under -Werror; the domains suppress the warning around their
-// own shim members (the compatibility surface itself).  Configuring with
-// -DSCOT_DISALLOW_TID_SHIM=ON compiles the shim (and every domain's
-// handle(tid) accessor) out entirely.
-#ifndef SCOT_DISALLOW_TID_SHIM
-template <class Handle>
-class [[deprecated(
-    "tid-indexed handles pin registry records forever; use "
-    "scot::scoped_handle(domain) or AnyMap::session()")]] TidHandleShim {
- public:
-  explicit TidHandleShim(unsigned max_threads) {
-    slots_.reserve(max_threads);  // deprecated fixed-capacity surface
-    slots_.resize(max_threads, nullptr);
-  }
-
-  // Thread-safe (concurrent first touches of distinct tids race on the
-  // mutex, not the vector).  Preserves the historical out-of-range throw.
-  template <class Domain>
-  Handle& get(Domain& d, unsigned tid) {
-    warn_once();
-    std::lock_guard<std::mutex> lock(mu_);
-    Handle*& h = slots_.at(tid);
-    if (h == nullptr) h = &d.join();
-    return *h;
-  }
-
- private:
-  // One process-wide note instead of per-call noise: the shim exists for
-  // legacy callers and migration is a mechanical scoped_handle swap, so a
-  // single pointer at the replacement is all the nagging that is useful.
-  static void warn_once() noexcept {
-    if (!detail::shim_warned().exchange(true, std::memory_order_relaxed)) {
-      std::fputs(
-          "scot: note: domain.handle(tid) is deprecated; use "
-          "scot::scoped_handle(domain) or AnyMap::session() instead\n",
-          stderr);
-    }
-  }
-
-  std::mutex mu_;
-  std::vector<Handle*> slots_;
-};
-#endif  // SCOT_DISALLOW_TID_SHIM
-
 // MPSC mailbox of retired-node chains, the handoff primitive for both
 // custody transfers in the library:
 //
@@ -371,9 +305,5 @@ class RetireMailbox {
   std::atomic<ReclaimNode*> head_{nullptr};
   std::atomic<std::uint64_t> donations_{0};
 };
-
-// Historical name: the orphan mailbox was the first RetireMailbox use; the
-// background reclaimer generalized it.
-using OrphanList = RetireMailbox;
 
 }  // namespace scot

@@ -9,9 +9,9 @@
 // HP this replaces the per-node publication fence with (amortized) one fence
 // per era change.
 //
-// Membership is dynamic (see nr.hpp): the era slots live inside the Handle,
-// scans walk the live registry, and leave() clears the slots, scans, and
-// donates the leftover limbo to the domain's orphan list.
+// The era slots live inside the Handle and scans walk the live registry;
+// leave() clears the slots, then LimboHandle scans and donates the leftover
+// limbo.
 #pragma once
 
 #include <algorithm>
@@ -20,405 +20,191 @@
 #include <cstdint>
 #include <memory>
 
-#include "common/align.hpp"
 #include "common/asymfence.hpp"
 #include "common/chunked_list.hpp"
 #include "obs/stats.hpp"
 #include "obs/trace.hpp"
-#include "smr/handle_core.hpp"
-#include "smr/handle_registry.hpp"
-#include "smr/node_pool.hpp"
-#include "smr/reclaimer.hpp"
-#include "smr/smr_config.hpp"
+#include "smr/domain_core.hpp"
 
 namespace scot {
 
-class HeDomain {
+class HeHandle;
+
+class HeDomain : public DomainCore<HeDomain, HeHandle> {
  public:
   static constexpr const char* kName = "HE";
   static constexpr bool kRobust = true;
   static constexpr std::uint64_t kIdleEra = 0;  // eras start at 1
+  using Handle = HeHandle;
 
-  class Handle : public HandleCore<HeDomain, Handle> {
-   public:
-    using Base = HandleCore<HeDomain, Handle>;
-    using Base::retire;  // typed retire(Protected<T>) — API v2
-    Handle(HeDomain* dom, unsigned tid)
-        : Base(dom, tid),
-          slots_(new std::atomic<std::uint64_t>[dom->cfg_.slots_per_thread]) {
-      for (unsigned i = 0; i < dom->cfg_.slots_per_thread; ++i)
-        slots_[i].store(kIdleEra, std::memory_order_relaxed);
-    }
+  using DomainCore::DomainCore;
 
-    // HE has no eager activation store: an operation becomes visible to
-    // reclaimers at its *first slot publish* (end_op cleared every slot, so
-    // the first protect() of the next operation always publishes).  That
-    // store already runs the asymmetric discipline below — release +
-    // compiler barrier, with the scan-side heavy barrier restoring the
-    // StoreLoad edge (DESIGN.md §5, activation case) — so begin_op stays
-    // free under both disciplines.
-    void begin_op() noexcept {}
-
-    void end_op() noexcept {
-      while (used_mask_ != 0) {
-        const unsigned idx =
-            static_cast<unsigned>(__builtin_ctz(used_mask_));
-        used_mask_ &= used_mask_ - 1;
-        slots_[idx].store(kIdleEra, std::memory_order_release);
-      }
-    }
-
-    // HE get_protected: loop until the global era observed after the load
-    // equals the era published in the slot.  When the era is already
-    // published (the common case within one era period) this is a plain
-    // load — the fence amortization that makes HE faster than HP.  Only the
-    // era-change publication carries a fence, and that is the store the
-    // asymmetric discipline relaxes: the loop's re-read of src/clock must
-    // be ordered after the slot store, and scans restore that edge with a
-    // heavy barrier before collect_eras() (DESIGN.md §5).
-    // `Src` is std::atomic<P> or StableAtomic<P>.
-    template <class Src, class P = typename Src::value_type>
-    P protect(const Src& src, unsigned idx) noexcept {
-      std::uint64_t prev = slots_[idx].load(std::memory_order_relaxed);
-      const asymfence::Path fences = dom_->fence_path_;
-      for (;;) {
-        P v = src.load(std::memory_order_acquire);
-        const std::uint64_t e = dom_->clock_.load(std::memory_order_seq_cst);
-        if (e == prev) {
-          used_mask_ |= 1u << idx;
-          return v;
-        }
-        if (fences == asymfence::Path::kClassic) {
-          slots_[idx].store(e, std::memory_order_seq_cst);
-        } else {
-          slots_[idx].store(e, std::memory_order_release);
-          asymfence::light_barrier(fences);
-        }
-        prev = e;
-      }
-    }
-
-    template <class T>
-    void publish(T* /*p*/, unsigned idx) noexcept {
-      // Publishing the current era protects everything alive at it,
-      // including the immortal anchor this is used for.
-      const std::uint64_t e = dom_->clock_.load(std::memory_order_acquire);
-      if (dom_->fence_path_ == asymfence::Path::kClassic) {
-        slots_[idx].store(e, std::memory_order_seq_cst);
-      } else {
-        slots_[idx].store(e, std::memory_order_release);
-        asymfence::light_barrier(dom_->fence_path_);
-      }
-      used_mask_ |= 1u << idx;
-    }
-
-    void dup(unsigned i, unsigned j) noexcept {
-      assert(i < j && "SCOT requires ascending-index dup (paper §3.2)");
-      slots_[j].store(slots_[i].load(std::memory_order_relaxed),
-                      std::memory_order_release);
-      used_mask_ |= 1u << j;
-    }
-
-    static constexpr bool op_valid() noexcept { return true; }
-    void revalidate_op() noexcept {}
-
-    void retire(ReclaimNode* n) {
-      n->debug_state = kNodeRetired;
-      n->retire_era = dom_->clock_.load(std::memory_order_acquire);
-      limbo_.push(n);
-      if (!dom_->bg_.is_active() && adopt_all_mailboxes() > 0) {
-        obs::count(stats_, obs::Counter::kOrphanAdoptions);
-        obs::trace_instant(obs::TraceKind::kAdopt);
-      }
-      dom_->counters_.on_retire(dom_->cfg_.track_stats);
-      obs::count(stats_, obs::Counter::kRetires);
-      obs::peak(stats_, limbo_.count);
-      era_tick();
-      if (limbo_.count >= dom_->bg_.effective_scan_threshold()) {
-        if (dom_->bg_.is_active()) {
-          donate_limbo(limbo_, dom_->bg_.mailbox);
-          dom_->bg_.thread.ring();
-        } else {
-          scan();
-        }
-      }
-    }
-
-    std::uint64_t on_alloc_era() noexcept {
-      era_tick();
-      return dom_->clock_.load(std::memory_order_acquire);
-    }
-
-    void scan() {
-      obs::TraceSpan span(obs::TraceKind::kScan);
-      const std::uint64_t stats_t0 = obs::scan_begin(stats_);
-      // Surface in-flight era publications before reading the slots; a
-      // publication the barrier does not surface belongs to a reader whose
-      // validating re-read is ordered after every unlink in this batch.
-      // The registry head is read after the barrier, so the same argument
-      // covers records of late-joining threads (DESIGN.md §7).
-      if (dom_->fence_path_ != asymfence::Path::kClassic) {
-        asymfence::heavy_barrier(dom_->fence_path_);
-        obs::count(stats_, obs::Counter::kHeavyBarriers);
-      }
-      // Reservation snapshot (sorted) — one pass over the live registry
-      // per scan instead of one per retired node.
-      snapshot_.clear();
-      dom_->collect_eras(snapshot_);
-      std::sort(snapshot_.begin(), snapshot_.end());
-      std::uint64_t freed = 0;
-      ReclaimNode* n = limbo_.take();
-      while (n != nullptr) {
-        ReclaimNode* next = n->smr_next;
-        if (lifetime_reserved(birth_era_of(n), n->retire_era)) {
-          limbo_.push(n);
-        } else {
-          dom_->pool().free(tid_, n, n->alloc_size);
-          ++freed;
-        }
-        n = next;
-      }
-      dom_->counters_.on_free(freed, dom_->cfg_.track_stats);
-      obs::scan_end(stats_, stats_t0, freed);
-    }
-
-    unsigned limbo_size() const noexcept { return limbo_.count; }
-
-    // --- background-reclaimer hooks (service thread only; DESIGN.md §9) ---
-    unsigned bg_collect() { return adopt_all_mailboxes(); }
-    bool bg_reclaim() {
-      if (limbo_.count == 0) return false;
-      scan();
-      return true;
-    }
-
-   private:
-    friend class HeDomain;
-
-    unsigned adopt_all_mailboxes() {
-      unsigned adopted = 0;
-      if (!dom_->orphans_.empty())
-        adopted += adopt_orphans(dom_->orphans_, limbo_);
-      if (!dom_->bg_.mailbox.empty())
-        adopted += adopt_orphans(dom_->bg_.mailbox, limbo_);
-      return adopted;
-    }
-
-    // True if some published era lies within [birth, retire].
-    bool lifetime_reserved(std::uint64_t birth,
-                           std::uint64_t retire) noexcept {
-      auto it = std::lower_bound(snapshot_.begin(), snapshot_.end(), birth);
-      return it != snapshot_.end() && *it <= retire;
-    }
-
-    void era_tick() noexcept {
-      if (++tick_ >= dom_->bg_.effective_era_freq()) {
-        tick_ = 0;
-        dom_->clock_.fetch_add(1, std::memory_order_acq_rel);
-        obs::count(stats_, obs::Counter::kEraAdvances);
-      }
-    }
-
-    std::atomic<std::uint64_t>& slot_ref(unsigned idx) noexcept {
-      assert(idx < dom_->cfg_.slots_per_thread);
-      return slots_[idx];
-    }
-
-    // Per-thread era slots; sized by cfg.slots_per_thread at handle
-    // construction, reused across join/leave cycles.
-    std::unique_ptr<std::atomic<std::uint64_t>[]> slots_;
-    LimboList limbo_;
-    std::uint32_t used_mask_ = 0;
-    unsigned tick_ = 0;
-    // Scan scratch, reused across scans; grows without bound instead of
-    // being pre-reserved for max_threads * slots_per_thread.
-    ChunkedList<std::uint64_t> snapshot_;
-  };
-
-  explicit HeDomain(SmrConfig cfg = {})
-      : cfg_(cfg),
-        pool_(cfg.max_threads),
-        fence_path_(asymfence::resolve(cfg.asymmetric_fences))
-#ifndef SCOT_DISALLOW_TID_SHIM
-        ,
-        shim_(cfg.max_threads)
-#endif
-  {
-    assert(cfg_.slots_per_thread <= 32);
-    bg_.scan_threshold.store(cfg_.scan_threshold, std::memory_order_relaxed);
-    bg_.era_freq.store(cfg_.era_freq, std::memory_order_relaxed);
-    if (cfg_.background_reclaim) start_background_reclaimer();
-  }
-
-  ~HeDomain() {
-    stop_background_reclaimer();
-    drain_all();
-  }
-
-  // --- dynamic membership (see nr.hpp for the reference walkthrough) ------
-  Handle& join() {
-    auto* rec =
-        registry_.acquire([this](unsigned idx) { return Handle(this, idx); });
-    rec->handle.registry_record_ = rec;
-    pool_.ensure_shards(rec->index + 1);
-    obs::count(rec->handle.stats_, obs::Counter::kJoins);
-    obs::trace_instant(obs::TraceKind::kJoin);
-    return rec->handle;
-  }
-
-  // Contract: no operation in flight.  Clears the era slots, runs a final
-  // scan, and donates what remains to the orphan list.
-  void leave(Handle& h) {
-    h.end_op();
-    if (h.limbo_.count > 0) {
-      if (bg_.is_active()) {
-        donate_limbo(h.limbo_, bg_.mailbox);
-        bg_.thread.ring();
-        obs::count(h.stats_, obs::Counter::kOrphanDonations);
-      } else {
-        h.scan();
-        if (donate_limbo(h.limbo_, orphans_) > 0)
-          obs::count(h.stats_, obs::Counter::kOrphanDonations);
-      }
-    }
-    obs::count(h.stats_, obs::Counter::kLeaves);
-    obs::trace_instant(obs::TraceKind::kLeave);
-    registry_.release(record_of(h));
-  }
-
-  unsigned active_handles() const noexcept { return registry_.active(); }
-  std::size_t total_handle_records() const noexcept {
-    return registry_.total_records();
-  }
-  const HandleRegistry<Handle>& registry() const noexcept { return registry_; }
-
-#ifndef SCOT_DISALLOW_TID_SHIM
-  // DEPRECATED: fixed-capacity tid-indexed access (joins once per tid and
-  // pins the record forever).  New code should use scoped_handle(domain).
-  Handle& handle(unsigned tid) { return shim_.get(*this, tid); }
-#endif
-
-  // --- background reclamation (smr/reclaimer.hpp, DESIGN.md §9) -----------
-  ReclaimControl& reclaim_control() noexcept { return bg_; }
-  bool background_active() const noexcept { return bg_.is_active(); }
-  BgReclaimStats background_stats() const noexcept { return bg_stats_of(bg_); }
-  bool counts_heavy_barrier_per_reclaim() const noexcept {
-    return fence_path_ != asymfence::Path::kClassic;
-  }
-
-  void start_background_reclaimer() {
-    if (bg_.thread.running()) return;
-    if (!reclaimer_)
-      reclaimer_ = std::make_unique<DomainReclaimer<HeDomain>>(*this);
-    bg_.active.store(true, std::memory_order_release);
-    bg_.thread.start(cfg_.reclaim_interval_us,
-                     [this] { reclaimer_->round(); });
-  }
-
-  void stop_background_reclaimer() {
-    bg_.active.store(false, std::memory_order_release);
-    bg_.thread.stop();
-    if (reclaimer_) {
-      reclaimer_->detach();
-      reclaimer_.reset();
-    }
-  }
-
-  const SmrConfig& config() const noexcept { return cfg_; }
-  NodePool& pool() noexcept { return pool_; }
-  std::int64_t pending_nodes() const noexcept {
-    return counters_.pending.load(std::memory_order_relaxed);
-  }
-  const SmrCounters& counters() const noexcept { return counters_; }
   std::uint64_t era() const noexcept {
     return clock_.load(std::memory_order_acquire);
   }
-  asymfence::Path fence_path() const noexcept { return fence_path_; }
-
-  // Observability (DESIGN.md §8): the per-handle cell list and the
-  // aggregated snapshot.
-  obs::DomainStats& obs_stats() noexcept { return stats_obs_; }
-  obs::StatsSnapshot stats() const {
-    obs::StatsSnapshot s = stats_obs_.snapshot();
-    s.enabled = SCOT_STATS != 0 && cfg_.track_stats;
-    s.pending = pending_nodes();
-    s.retired_total = counters_.retired.load(std::memory_order_relaxed);
-    s.reclaimed_total = counters_.reclaimed.load(std::memory_order_relaxed);
-    return s;
-  }
-
-#ifndef SCOT_DISALLOW_TID_SHIM
-  // Test/introspection accessor for a tid-indexed slot (routes through the
-  // deprecated shim, joining the tid if needed).
-  std::atomic<std::uint64_t>& slot(unsigned tid, unsigned idx) {
-    return handle(tid).slot_ref(idx);
-  }
-#endif
 
   // Walks the live registry; records of departed threads hold idle slots.
   // `Out` is any push_back-able container (ChunkedList in scans,
   // std::vector in tests).
   template <class Out>
-  void collect_eras(Out& out) const {
-    for (const auto* r = registry_.head(); r != nullptr;
-         r = r->next_record()) {
-      for (unsigned i = 0; i < cfg_.slots_per_thread; ++i) {
-        const std::uint64_t e =
-            r->handle.slots_[i].load(std::memory_order_acquire);
-        if (e != kIdleEra) out.push_back(e);
-      }
+  void collect_eras(Out& out) const;
+};
+
+class HeHandle : public LimboHandle<HeDomain, HeHandle> {
+ public:
+  static constexpr bool kRetireEras = true;
+  static constexpr std::uint64_t kIdleEra = HeDomain::kIdleEra;
+
+  HeHandle(HeDomain* dom, unsigned tid)
+      : LimboHandle(dom, tid),
+        slots_(new std::atomic<std::uint64_t>[dom->config().slots_per_thread]) {
+    for (unsigned i = 0; i < dom->config().slots_per_thread; ++i)
+      slots_[i].store(kIdleEra, std::memory_order_relaxed);
+  }
+
+  // HE has no eager activation store: an operation becomes visible to
+  // reclaimers at its *first slot publish* (end_op cleared every slot, so
+  // the first protect() of the next operation always publishes).  That
+  // store already runs the asymmetric discipline below — release +
+  // compiler barrier, with the scan-side heavy barrier restoring the
+  // StoreLoad edge (DESIGN.md §5, activation case) — so begin_op stays
+  // free under both disciplines.
+  void begin_op() noexcept {}
+
+  void end_op() noexcept {
+    while (used_mask_ != 0) {
+      const unsigned idx =
+          static_cast<unsigned>(__builtin_ctz(used_mask_));
+      used_mask_ &= used_mask_ - 1;
+      slots_[idx].store(kIdleEra, std::memory_order_release);
     }
+  }
+
+  // HE get_protected: loop until the global era observed after the load
+  // equals the era published in the slot.  When the era is already
+  // published (the common case within one era period) this is a plain
+  // load — the fence amortization that makes HE faster than HP.  Only the
+  // era-change publication carries a fence, and that is the store the
+  // asymmetric discipline relaxes: the loop's re-read of src/clock must
+  // be ordered after the slot store, and scans restore that edge with a
+  // heavy barrier before collect_eras() (DESIGN.md §5).
+  // `Src` is std::atomic<P> or StableAtomic<P>.
+  template <class Src, class P = typename Src::value_type>
+  P protect(const Src& src, unsigned idx) noexcept {
+    std::uint64_t prev = slots_[idx].load(std::memory_order_relaxed);
+    const asymfence::Path fences = dom_->fence_path_;
+    for (;;) {
+      P v = src.load(std::memory_order_acquire);
+      const std::uint64_t e = dom_->clock_.load(std::memory_order_seq_cst);
+      if (e == prev) {
+        used_mask_ |= 1u << idx;
+        return v;
+      }
+      if (fences == asymfence::Path::kClassic) {
+        slots_[idx].store(e, std::memory_order_seq_cst);
+      } else {
+        slots_[idx].store(e, std::memory_order_release);
+        asymfence::light_barrier(fences);
+      }
+      prev = e;
+    }
+  }
+
+  template <class T>
+  void publish(T* /*p*/, unsigned idx) noexcept {
+    // Publishing the current era protects everything alive at it,
+    // including the immortal anchor this is used for.
+    const std::uint64_t e = dom_->clock_.load(std::memory_order_acquire);
+    if (dom_->fence_path_ == asymfence::Path::kClassic) {
+      slots_[idx].store(e, std::memory_order_seq_cst);
+    } else {
+      slots_[idx].store(e, std::memory_order_release);
+      asymfence::light_barrier(dom_->fence_path_);
+    }
+    used_mask_ |= 1u << idx;
+  }
+
+  void dup(unsigned i, unsigned j) noexcept {
+    assert(i < j && "SCOT requires ascending-index dup (paper §3.2)");
+    slots_[j].store(slots_[i].load(std::memory_order_relaxed),
+                    std::memory_order_release);
+    used_mask_ |= 1u << j;
+  }
+
+  static constexpr bool op_valid() noexcept { return true; }
+  void revalidate_op() noexcept {}
+
+  std::uint64_t on_alloc_era() noexcept {
+    era_tick();
+    return dom_->clock_.load(std::memory_order_acquire);
+  }
+
+  void scan() {
+    obs::TraceSpan span(obs::TraceKind::kScan);
+    const std::uint64_t stats_t0 = obs::scan_begin(stats_);
+    // Surface in-flight era publications before reading the slots; a
+    // publication the barrier does not surface belongs to a reader whose
+    // validating re-read is ordered after every unlink in this batch.
+    // The registry head is read after the barrier, so the same argument
+    // covers records of late-joining threads (DESIGN.md §7).
+    if (dom_->fence_path_ != asymfence::Path::kClassic) {
+      asymfence::heavy_barrier(dom_->fence_path_);
+      obs::count(stats_, obs::Counter::kHeavyBarriers);
+    }
+    // Reservation snapshot (sorted) — one pass over the live registry
+    // per scan instead of one per retired node.
+    snapshot_.clear();
+    dom_->collect_eras(snapshot_);
+    std::sort(snapshot_.begin(), snapshot_.end());
+    std::uint64_t freed = 0;
+    ReclaimNode* n = limbo_.take();
+    while (n != nullptr) {
+      ReclaimNode* next = n->smr_next;
+      if (lifetime_reserved(birth_era_of(n), n->retire_era)) {
+        limbo_.push(n);
+      } else {
+        dom_->pool().free(tid_, n, n->alloc_size);
+        ++freed;
+      }
+      n = next;
+    }
+    dom_->counters_.on_free(freed, dom_->cfg_.track_stats);
+    obs::scan_end(stats_, stats_t0, freed);
+  }
+
+  // DomainCore hook: clears the era slots before the final scan.
+  void on_leave() {
+    end_op();
+    LimboHandle::on_leave();
   }
 
  private:
-  friend class Handle;
+  friend class HeDomain;
 
-  using Record = HandleRegistry<Handle>::Record;
-  static Record* record_of(Handle& h) noexcept {
-    return static_cast<Record*>(h.registry_record_);
+  // True if some published era lies within [birth, retire].
+  bool lifetime_reserved(std::uint64_t birth,
+                         std::uint64_t retire) noexcept {
+    auto it = std::lower_bound(snapshot_.begin(), snapshot_.end(), birth);
+    return it != snapshot_.end() && *it <= retire;
   }
 
-  void drain_all() {
-    std::uint64_t freed = 0;
-    for (auto* r = registry_.head(); r != nullptr; r = r->next_record()) {
-      ReclaimNode* n = r->handle.limbo_.take();
-      while (n != nullptr) {
-        ReclaimNode* next = n->smr_next;
-        pool_.free(r->index, n, n->alloc_size);
-        ++freed;
-        n = next;
-      }
-    }
-    ReclaimNode* chains[] = {orphans_.take_all(), bg_.mailbox.take_all()};
-    for (ReclaimNode* n : chains) {
-      while (n != nullptr) {
-        ReclaimNode* next = n->smr_next;
-        pool_.free(0, n, n->alloc_size);
-        ++freed;
-        n = next;
-      }
-    }
-    counters_.on_free(freed, cfg_.track_stats);
-  }
-
-  SmrConfig cfg_;
-  NodePool pool_;
-  SmrCounters counters_;
-  std::atomic<std::uint64_t> clock_{1};
-  asymfence::Path fence_path_;
-  // Declared before the registry: handles hold raw cell pointers, so the
-  // cell list must be destroyed after the records are.
-  obs::DomainStats stats_obs_;
-  HandleRegistry<Handle> registry_;
-  OrphanList orphans_;
-  ReclaimControl bg_;
-  std::unique_ptr<DomainReclaimer<HeDomain>> reclaimer_;
-#ifndef SCOT_DISALLOW_TID_SHIM
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  TidHandleShim<Handle> shim_;
-#pragma GCC diagnostic pop
-#endif
+  // Per-thread era slots; sized by cfg.slots_per_thread at handle
+  // construction, reused across join/leave cycles.
+  std::unique_ptr<std::atomic<std::uint64_t>[]> slots_;
+  std::uint32_t used_mask_ = 0;
+  // Scan scratch, reused across scans; grows with the registry.
+  ChunkedList<std::uint64_t> snapshot_;
 };
+
+template <class Out>
+void HeDomain::collect_eras(Out& out) const {
+  for (const auto* r = registry_.head(); r != nullptr; r = r->next_record()) {
+    for (unsigned i = 0; i < cfg_.slots_per_thread; ++i) {
+      const std::uint64_t e =
+          r->handle.slots_[i].load(std::memory_order_acquire);
+      if (e != kIdleEra) out.push_back(e);
+    }
+  }
+}
 
 }  // namespace scot

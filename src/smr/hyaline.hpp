@@ -25,520 +25,368 @@
 //    is safe even if the node was concurrently reclaimed (see
 //    reclaim_node.hpp).
 //
-// Membership is dynamic (see nr.hpp): the reservation slot lives inside the
-// Handle, seal_batch() walks the live registry, and leave() donates the
-// unsealed batch to the domain's orphan list — the natural Hyaline handoff,
-// since sealed batches are already owned by "whoever drops the last
-// reference".
+// The reservation slot lives inside the Handle and seal_batch() walks the
+// live registry.  leave() donates the unsealed batch to the domain's orphan
+// mailbox — the natural Hyaline handoff, since sealed batches are already
+// owned by "whoever drops the last reference".
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <memory>
 
-#include "common/align.hpp"
 #include "common/asymfence.hpp"
 #include "obs/stats.hpp"
 #include "obs/trace.hpp"
-#include "smr/handle_core.hpp"
-#include "smr/handle_registry.hpp"
-#include "smr/node_pool.hpp"
-#include "smr/reclaimer.hpp"
-#include "smr/smr_config.hpp"
+#include "smr/domain_core.hpp"
 
 namespace scot {
 
-class HyalineDomain {
+class HyalineHandle;
+
+class HyalineDomain : public DomainCore<HyalineDomain, HyalineHandle> {
  public:
   static constexpr const char* kName = "HLN";
   static constexpr bool kRobust = true;
+  using Handle = HyalineHandle;
 
+  using DomainCore::DomainCore;
+
+  std::uint64_t era() const noexcept {
+    return clock_.load(std::memory_order_acquire);
+  }
+  // The configured batch-size floor; the effective threshold also adapts
+  // upward to the live registry size (see HyalineHandle::required_batch).
+  unsigned batch_capacity() const noexcept { return reclaim_threshold(cfg_); }
+
+  // DomainCore hook: Hyaline's reclaim cadence is the batch size, so that
+  // is what the adaptive controller tunes (era_freq rides along for the
+  // clock rate).  0 = auto: max_threads + 1, the minimum that guarantees a
+  // distinct member node per reservation slot.
+  static unsigned reclaim_threshold(const SmrConfig& cfg) noexcept {
+    return cfg.batch_capacity != 0 ? cfg.batch_capacity : cfg.max_threads + 1;
+  }
+};
+
+class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
+ public:
+  using HandleCore::HandleCore;
+  using HandleCore::retire;  // typed retire(Protected<T>) — API v2
+
+  void begin_op() noexcept {
+    era_local_ = dom_->clock_.load(std::memory_order_acquire);
+    slot_.era.store(era_local_, std::memory_order_release);
+    // Activation must be visible to retirers before this operation
+    // performs any shared loads (StoreLoad).  Classic: a seq_cst head
+    // store.  Asymmetric: release store + compiler barrier; seal_batch()
+    // compensates with one heavy barrier before reading the slots
+    // (DESIGN.md §5, activation case).  The era store above is release-
+    // ordered before the head store either way, so a retirer that sees
+    // the slot active also sees an era at least as new as era_local_.
+    const asymfence::Path fences = dom_->fence_path_;
+#ifndef NDEBUG
+    // Debug check that the previous operation deactivated the slot.  An
+    // exchange (a full RMW even at relaxed strength) reads the
+    // coherence-latest value, so the check cannot misfire on a stale
+    // load under the relaxed activation discipline; the store below then
+    // publishes kActiveEmpty exactly as in release builds.  (A relaxed
+    // load would in fact also be sound — while the slot is inactive no
+    // other thread writes it, and a thread always observes its own last
+    // store — but the exchange makes that reasoning unnecessary.)
+    const std::uintptr_t prev =
+        slot_.head.exchange(kInactive, std::memory_order_relaxed);
+    assert(prev == kInactive &&
+           "begin_op on a slot the previous operation left active");
+#endif
+    if (fences == asymfence::Path::kClassic) {
+      slot_.head.store(kActiveEmpty, std::memory_order_seq_cst);
+    } else {
+      slot_.head.store(kActiveEmpty, std::memory_order_release);
+      asymfence::light_barrier(fences);
+    }
+  }
+
+  void end_op() noexcept {
+    const std::uintptr_t prev =
+        slot_.head.exchange(kInactive, std::memory_order_acq_rel);
+    drain(prev);
+  }
+
+  // `Src` is std::atomic<P> or StableAtomic<P> (pool-recycled link words).
+  template <class Src, class P = typename Src::value_type>
+  P protect(const Src& src, unsigned /*idx*/) noexcept {
+    P v = src.load(std::memory_order_acquire);
+    ReclaimNode* n = smr_raw(v);
+    if (n != nullptr && birth_era_of(n) > era_local_) {
+      // The node is younger than our reservation: its batch may skip our
+      // slot, so dereferencing it would be unsafe.  Refresh the
+      // reservation and make the data structure restart from an anchor.
+      end_op();
+      begin_op();
+      restart_ = true;
+    }
+    return v;
+  }
+
+  template <class T>
+  void publish(T* /*p*/, unsigned /*idx*/) noexcept {}
+  void dup(unsigned /*i*/, unsigned /*j*/) noexcept {}
+
+  bool op_valid() const noexcept { return !restart_; }
+  void revalidate_op() noexcept { restart_ = false; }
+
+  void retire(ReclaimNode* n) {
+    n->debug_state = kNodeRetired;
+    n->retire_era = dom_->clock_.load(std::memory_order_acquire);
+    n->batch = nullptr;
+    push_to_batch(n);
+    if (!dom_->bg_.is_active() && adopt_all_mailboxes() > 0) {
+      obs::count(stats_, obs::Counter::kOrphanAdoptions);
+      obs::trace_instant(obs::TraceKind::kAdopt);
+    }
+    dom_->counters_.on_retire(dom_->cfg_.track_stats);
+    obs::count(stats_, obs::Counter::kRetires);
+    obs::peak(stats_, batch_count_);
+    era_tick();
+    if (batch_count_ >= required_batch()) {
+      if (dom_->bg_.is_active()) {
+        // Donate the accumulated batch whole; the service thread splices
+        // it into its own batch and runs the seal (with its single heavy
+        // barrier) off the operation path.
+        donate_batch(dom_->bg_.mailbox);
+        dom_->bg_.thread.ring();
+      } else {
+        seal_batch();
+      }
+    }
+  }
+
+  std::uint64_t on_alloc_era() noexcept {
+    era_tick();
+    return dom_->clock_.load(std::memory_order_acquire);
+  }
+
+  // Test hooks.
+  unsigned pending_batch_size() const noexcept { return batch_count_; }
+  std::uint64_t reservation_era() const noexcept { return era_local_; }
+
+  // --- background-reclaimer hooks (service thread only; DESIGN.md §9) ---
+  unsigned bg_collect() { return adopt_all_mailboxes(); }
+  // Seals only when the spliced batch has enough member nodes for every
+  // registry record; a short batch keeps accumulating until the next
+  // round's adoptions top it up.
+  bool bg_reclaim() {
+    if (batch_count_ == 0 || batch_count_ < required_batch()) return false;
+    seal_batch();
+    return true;
+  }
+
+  // --- DomainCore hooks ----------------------------------------------------
+  // The slot must be inactive and drained.  Only the private, unsealed
+  // batch needs a new owner; it is donated whole.
+  void on_leave() {
+    assert(slot_.head.load(std::memory_order_relaxed) == kInactive &&
+           "leave() with an operation in flight");
+    if (batch_count_ == 0) return;
+    if (dom_->bg_.is_active()) {
+      donate_batch(dom_->bg_.mailbox);
+      dom_->bg_.thread.ring();
+    } else {
+      donate_batch(dom_->orphans_);
+    }
+    obs::count(stats_, obs::Counter::kOrphanDonations);
+  }
+  ReclaimNode* take_retired() noexcept {
+    ReclaimNode* n = batch_head_;
+    reset_batch();
+    return n;
+  }
+
+ private:
   struct BatchHandle {
     std::atomic<std::int64_t> refs{0};
     ReclaimNode* first = nullptr;
     unsigned count = 0;
   };
 
-  class Handle : public HandleCore<HyalineDomain, Handle> {
-   public:
-    using Base = HandleCore<HyalineDomain, Handle>;
-    using Base::retire;  // typed retire(Protected<T>) — API v2
-    Handle(HyalineDomain* dom, unsigned tid) : Base(dom, tid) {}
-
-    void begin_op() noexcept {
-      era_local_ = dom_->clock_.load(std::memory_order_acquire);
-      slot_.era.store(era_local_, std::memory_order_release);
-      // Activation must be visible to retirers before this operation
-      // performs any shared loads (StoreLoad).  Classic: a seq_cst head
-      // store.  Asymmetric: release store + compiler barrier; seal_batch()
-      // compensates with one heavy barrier before reading the slots
-      // (DESIGN.md §5, activation case).  The era store above is release-
-      // ordered before the head store either way, so a retirer that sees
-      // the slot active also sees an era at least as new as era_local_.
-      const asymfence::Path fences = dom_->fence_path_;
-#ifndef NDEBUG
-      // Debug check that the previous operation deactivated the slot.  An
-      // exchange (a full RMW even at relaxed strength) reads the
-      // coherence-latest value, so the check cannot misfire on a stale
-      // load under the relaxed activation discipline; the store below then
-      // publishes kActiveEmpty exactly as in release builds.  (A relaxed
-      // load would in fact also be sound — while the slot is inactive no
-      // other thread writes it, and a thread always observes its own last
-      // store — but the exchange makes that reasoning unnecessary.)
-      const std::uintptr_t prev =
-          slot_.head.exchange(kInactive, std::memory_order_relaxed);
-      assert(prev == kInactive &&
-             "begin_op on a slot the previous operation left active");
-#endif
-      if (fences == asymfence::Path::kClassic) {
-        slot_.head.store(kActiveEmpty, std::memory_order_seq_cst);
-      } else {
-        slot_.head.store(kActiveEmpty, std::memory_order_release);
-        asymfence::light_barrier(fences);
-      }
-    }
-
-    void end_op() noexcept {
-      const std::uintptr_t prev =
-          slot_.head.exchange(kInactive, std::memory_order_acq_rel);
-      drain(prev);
-    }
-
-    // `Src` is std::atomic<P> or StableAtomic<P> (pool-recycled link words).
-    template <class Src, class P = typename Src::value_type>
-    P protect(const Src& src, unsigned /*idx*/) noexcept {
-      P v = src.load(std::memory_order_acquire);
-      ReclaimNode* n = smr_raw(v);
-      if (n != nullptr && birth_era_of(n) > era_local_) {
-        // The node is younger than our reservation: its batch may skip our
-        // slot, so dereferencing it would be unsafe.  Refresh the
-        // reservation and make the data structure restart from an anchor.
-        end_op();
-        begin_op();
-        restart_ = true;
-      }
-      return v;
-    }
-
-    template <class T>
-    void publish(T* /*p*/, unsigned /*idx*/) noexcept {}
-    void dup(unsigned /*i*/, unsigned /*j*/) noexcept {}
-
-    bool op_valid() const noexcept { return !restart_; }
-    void revalidate_op() noexcept { restart_ = false; }
-
-    void retire(ReclaimNode* n) {
-      n->debug_state = kNodeRetired;
-      n->retire_era = dom_->clock_.load(std::memory_order_acquire);
-      n->batch = nullptr;
-      push_to_batch(n);
-      if (!dom_->bg_.is_active() && adopt_all_mailboxes() > 0) {
-        obs::count(stats_, obs::Counter::kOrphanAdoptions);
-        obs::trace_instant(obs::TraceKind::kAdopt);
-      }
-      dom_->counters_.on_retire(dom_->cfg_.track_stats);
-      obs::count(stats_, obs::Counter::kRetires);
-      obs::peak(stats_, batch_count_);
-      era_tick();
-      if (batch_count_ >= required_batch()) {
-        if (dom_->bg_.is_active()) {
-          // Donate the accumulated batch whole; the service thread splices
-          // it into its own batch and runs the seal (with its single heavy
-          // barrier) off the operation path.
-          dom_->bg_.mailbox.donate(batch_head_, batch_tail_);
-          batch_head_ = nullptr;
-          batch_tail_ = nullptr;
-          batch_count_ = 0;
-          batch_min_birth_ = 0;
-          dom_->bg_.thread.ring();
-        } else {
-          seal_batch();
-        }
-      }
-    }
-
-    std::uint64_t on_alloc_era() noexcept {
-      era_tick();
-      return dom_->clock_.load(std::memory_order_acquire);
-    }
-
-    // Test hooks.
-    unsigned pending_batch_size() const noexcept { return batch_count_; }
-    std::uint64_t reservation_era() const noexcept { return era_local_; }
-
-    // --- background-reclaimer hooks (service thread only; DESIGN.md §9) ---
-    unsigned bg_collect() { return adopt_all_mailboxes(); }
-    // Seals only when the spliced batch has enough member nodes for every
-    // registry record; a short batch keeps accumulating until the next
-    // round's adoptions top it up.
-    bool bg_reclaim() {
-      if (batch_count_ == 0 || batch_count_ < required_batch()) return false;
-      seal_batch();
-      return true;
-    }
-
-   private:
-    friend class HyalineDomain;
-
-    void era_tick() noexcept {
-      if (++tick_ >= dom_->bg_.effective_era_freq()) {
-        tick_ = 0;
-        dom_->clock_.fetch_add(1, std::memory_order_acq_rel);
-        obs::count(stats_, obs::Counter::kEraAdvances);
-      }
-    }
-
-    void push_to_batch(ReclaimNode* n) noexcept {
-      const std::uint64_t birth = birth_era_of(n);
-      if (batch_count_ == 0 || birth < batch_min_birth_)
-        batch_min_birth_ = birth;
-      n->smr_next = batch_head_;
-      if (batch_head_ == nullptr) batch_tail_ = n;
-      batch_head_ = n;
-      ++batch_count_;
-    }
-
-    // Splices every donated retire (departed threads' unsealed batches and
-    // anything parked in the background mailbox) into this thread's batch,
-    // restoring the min-birth bound.  Returns the number of nodes adopted
-    // (0 = both mailboxes were raced empty).
-    unsigned adopt_all_mailboxes() noexcept {
-      unsigned adopted = 0;
-      adopted += splice_mailbox(dom_->orphans_);
-      adopted += splice_mailbox(dom_->bg_.mailbox);
-      return adopted;
-    }
-
-    unsigned splice_mailbox(RetireMailbox& mailbox) noexcept {
-      if (mailbox.empty()) return 0;
-      ReclaimNode* n = mailbox.take_all();
-      unsigned adopted = 0;
-      while (n != nullptr) {
-        ReclaimNode* next = n->smr_next;
-        push_to_batch(n);
-        ++adopted;
-        n = next;
-      }
-      return adopted;
-    }
-
-    // A batch needs one member node per live registry record (each
-    // insertion consumes a distinct node as the list entry) plus one, so
-    // the threshold adapts to membership: total_records() is incremented
-    // before a record is published, so this bound can only over-estimate,
-    // never under-estimate, the chain seal_batch() will walk.  The floor is
-    // the effective background threshold (initialized to batch_capacity_
-    // and retuned by the adaptive controller; the registry term keeps it
-    // correct regardless of how far the controller lowers it).
-    unsigned required_batch() const noexcept {
-      const auto total =
-          static_cast<unsigned>(dom_->registry_.total_records());
-      return std::max(dom_->bg_.effective_scan_threshold(), total + 1);
-    }
-
-    // Hands the accumulated batch to all active, era-overlapping slots.
-    // The batch seal is Hyaline's reclaim cadence, so it carries the kScans
-    // counter and the scan-latency histogram (nodes are counted as
-    // reclaimed later, in free_batch, when the last reference drops).
-    void seal_batch() {
-      obs::TraceSpan span(obs::TraceKind::kSeal);
-      const std::uint64_t stats_t0 = obs::scan_begin(stats_);
-      // Surface in-flight activations before reading the slots: every node
-      // in this batch was unlinked before it was retired, so an activation
-      // the barrier does not surface belongs to a thread whose shared
-      // loads are all ordered after those unlinks — it cannot reach any
-      // node of this batch, and skipping its slot is safe (DESIGN.md §5).
-      if (dom_->fence_path_ != asymfence::Path::kClassic) {
-        asymfence::heavy_barrier(dom_->fence_path_);
-        obs::count(stats_, obs::Counter::kHeavyBarriers);
-      }
-      // Snapshot the registry AFTER the barrier.  Records pushed after
-      // this read are skippable by the same argument as an un-surfaced
-      // activation; records in the snapshot cover every thread that could
-      // hold a reference into this batch (DESIGN.md §7).
-      auto* snap = dom_->registry_.head();
-      unsigned len = 0;
-      for (auto* r = snap; r != nullptr; r = r->next_record()) ++len;
-      if (batch_count_ < len + 1) {
-        // The registry grew between the threshold check and the snapshot:
-        // not enough member nodes to give every slot a distinct entry.
-        // Keep accumulating; the next retire re-checks against the larger
-        // required_batch().
-        obs::scan_end(stats_, stats_t0, 0);
-        return;
-      }
-      auto* bh = new BatchHandle;
-      bh->refs.store(kGuard, std::memory_order_relaxed);
-      bh->first = batch_head_;
-      bh->count = batch_count_;
-      for (ReclaimNode* n = batch_head_; n != nullptr; n = n->smr_next)
-        n->batch = bh;
-
-      std::int64_t inserted = 0;
-      ReclaimNode* entry = batch_head_;
-      for (auto* r = snap; r != nullptr && entry != nullptr;
-           r = r->next_record()) {
-        auto& slot = r->handle.slot_;
-        std::uintptr_t h = slot.head.load(std::memory_order_acquire);
-        for (;;) {
-          if (h == kInactive) break;
-          if (slot.era.load(std::memory_order_acquire) < batch_min_birth_) {
-            // 1S filter: the slot's thread entered before any node in this
-            // batch was born; it would have restarted rather than hold a
-            // reference into the batch.
-            break;
-          }
-          entry->slot_next = reinterpret_cast<ReclaimNode*>(h);
-          if (slot.head.compare_exchange_weak(
-                  h, reinterpret_cast<std::uintptr_t>(entry),
-                  std::memory_order_acq_rel, std::memory_order_acquire)) {
-            ++inserted;
-            entry = entry->smr_next;  // consume one member node per slot
-            break;
-          }
-        }
-      }
-      batch_head_ = nullptr;
-      batch_tail_ = nullptr;
-      batch_count_ = 0;
-      batch_min_birth_ = 0;
-      obs::scan_end(stats_, stats_t0, 0);
-      adjust(bh, inserted - kGuard);
-    }
-
-    void drain(std::uintptr_t list) noexcept {
-      auto* e = reinterpret_cast<ReclaimNode*>(list);
-      assert(list != kInactive);
-      while (e != nullptr) {
-        ReclaimNode* next = e->slot_next;  // read before the batch can die
-        adjust(static_cast<BatchHandle*>(e->batch), -1);
-        e = next;
-      }
-    }
-
-    void adjust(BatchHandle* bh, std::int64_t delta) noexcept {
-      if (bh->refs.fetch_add(delta, std::memory_order_acq_rel) + delta == 0)
-        free_batch(bh);
-    }
-
-    void free_batch(BatchHandle* bh) noexcept {
-      std::uint64_t freed = 0;
-      ReclaimNode* n = bh->first;
-      while (n != nullptr) {
-        ReclaimNode* next = n->smr_next;
-        dom_->pool().free(tid_, n, n->alloc_size);
-        ++freed;
-        n = next;
-      }
-      assert(freed == bh->count);
-      dom_->counters_.on_free(freed, dom_->cfg_.track_stats);
-      // Charged to the handle that dropped the last reference ("reclamation
-      // by any thread"), which is always the calling thread — single-writer.
-      obs::count(stats_, obs::Counter::kNodesReclaimed, freed);
-      delete bh;
-    }
-
-    struct SlotData {
-      std::atomic<std::uintptr_t> head{kInactive};
-      std::atomic<std::uint64_t> era{0};
-    };
-
-    // Reservation slot (moved from the domain's per-tid array; the
-    // record's alignment isolates it from other threads' lines).
-    SlotData slot_;
-    std::uint64_t era_local_ = 0;
-    bool restart_ = false;
-    unsigned tick_ = 0;
-    ReclaimNode* batch_head_ = nullptr;
-    ReclaimNode* batch_tail_ = nullptr;
-    unsigned batch_count_ = 0;
-    std::uint64_t batch_min_birth_ = 0;
-  };
-
-  explicit HyalineDomain(SmrConfig cfg = {})
-      : cfg_(cfg),
-        pool_(cfg.max_threads),
-        batch_capacity_(cfg.batch_capacity != 0 ? cfg.batch_capacity
-                                                : cfg.max_threads + 1),
-        fence_path_(asymfence::resolve(cfg.asymmetric_fences))
-#ifndef SCOT_DISALLOW_TID_SHIM
-        ,
-        shim_(cfg.max_threads)
-#endif
-  {
-    // Hyaline's reclaim cadence is the batch size, so that is what the
-    // adaptive controller tunes (era_freq rides along for the clock rate).
-    bg_.scan_threshold.store(batch_capacity_, std::memory_order_relaxed);
-    bg_.era_freq.store(cfg_.era_freq, std::memory_order_relaxed);
-    if (cfg_.background_reclaim) start_background_reclaimer();
-  }
-
-  ~HyalineDomain() {
-    stop_background_reclaimer();
-    drain_all();
-  }
-
-  // --- dynamic membership (see nr.hpp for the reference walkthrough) ------
-  Handle& join() {
-    auto* rec =
-        registry_.acquire([this](unsigned idx) { return Handle(this, idx); });
-    rec->handle.registry_record_ = rec;
-    pool_.ensure_shards(rec->index + 1);
-    obs::count(rec->handle.stats_, obs::Counter::kJoins);
-    obs::trace_instant(obs::TraceKind::kJoin);
-    return rec->handle;
-  }
-
-  // Contract: no operation in flight (the slot is inactive and drained).
-  // The unsealed batch is donated whole — this is Hyaline's natural
-  // handoff: sealed batches already belong to "whoever drops the last
-  // reference", so only the private accumulating batch needs a new owner.
-  void leave(Handle& h) {
-    assert(h.slot_.head.load(std::memory_order_relaxed) == kInactive &&
-           "leave() with an operation in flight");
-    if (h.batch_count_ > 0) {
-      if (bg_.is_active()) {
-        bg_.mailbox.donate(h.batch_head_, h.batch_tail_);
-        bg_.thread.ring();
-      } else {
-        orphans_.donate(h.batch_head_, h.batch_tail_);
-      }
-      h.batch_head_ = nullptr;
-      h.batch_tail_ = nullptr;
-      h.batch_count_ = 0;
-      h.batch_min_birth_ = 0;
-      obs::count(h.stats_, obs::Counter::kOrphanDonations);
-    }
-    obs::count(h.stats_, obs::Counter::kLeaves);
-    obs::trace_instant(obs::TraceKind::kLeave);
-    registry_.release(record_of(h));
-  }
-
-  unsigned active_handles() const noexcept { return registry_.active(); }
-  std::size_t total_handle_records() const noexcept {
-    return registry_.total_records();
-  }
-  const HandleRegistry<Handle>& registry() const noexcept { return registry_; }
-
-#ifndef SCOT_DISALLOW_TID_SHIM
-  // DEPRECATED: fixed-capacity tid-indexed access (joins once per tid and
-  // pins the record forever).  New code should use scoped_handle(domain).
-  Handle& handle(unsigned tid) { return shim_.get(*this, tid); }
-#endif
-
-  // --- background reclamation (smr/reclaimer.hpp, DESIGN.md §9) -----------
-  ReclaimControl& reclaim_control() noexcept { return bg_; }
-  bool background_active() const noexcept { return bg_.is_active(); }
-  BgReclaimStats background_stats() const noexcept { return bg_stats_of(bg_); }
-  bool counts_heavy_barrier_per_reclaim() const noexcept {
-    return fence_path_ != asymfence::Path::kClassic;
-  }
-
-  void start_background_reclaimer() {
-    if (bg_.thread.running()) return;
-    if (!reclaimer_)
-      reclaimer_ = std::make_unique<DomainReclaimer<HyalineDomain>>(*this);
-    bg_.active.store(true, std::memory_order_release);
-    bg_.thread.start(cfg_.reclaim_interval_us,
-                     [this] { reclaimer_->round(); });
-  }
-
-  void stop_background_reclaimer() {
-    bg_.active.store(false, std::memory_order_release);
-    bg_.thread.stop();
-    if (reclaimer_) {
-      reclaimer_->detach();
-      reclaimer_.reset();
-    }
-  }
-
-  const SmrConfig& config() const noexcept { return cfg_; }
-  NodePool& pool() noexcept { return pool_; }
-  std::int64_t pending_nodes() const noexcept {
-    return counters_.pending.load(std::memory_order_relaxed);
-  }
-  const SmrCounters& counters() const noexcept { return counters_; }
-  std::uint64_t era() const noexcept {
-    return clock_.load(std::memory_order_acquire);
-  }
-  // The configured batch-size floor; the effective threshold also adapts
-  // upward to the live registry size (see Handle::required_batch).
-  unsigned batch_capacity() const noexcept { return batch_capacity_; }
-  asymfence::Path fence_path() const noexcept { return fence_path_; }
-
-  // Observability (DESIGN.md §8): the per-handle cell list and the
-  // aggregated snapshot.
-  obs::DomainStats& obs_stats() noexcept { return stats_obs_; }
-  obs::StatsSnapshot stats() const {
-    obs::StatsSnapshot s = stats_obs_.snapshot();
-    s.enabled = SCOT_STATS != 0 && cfg_.track_stats;
-    s.pending = pending_nodes();
-    s.retired_total = counters_.retired.load(std::memory_order_relaxed);
-    s.reclaimed_total = counters_.reclaimed.load(std::memory_order_relaxed);
-    return s;
-  }
-
- private:
-  friend class Handle;
-
   static constexpr std::uintptr_t kActiveEmpty = 0;
   static constexpr std::uintptr_t kInactive = 1;
   static constexpr std::int64_t kGuard = std::int64_t{1} << 62;
 
-  using Record = HandleRegistry<Handle>::Record;
-  static Record* record_of(Handle& h) noexcept {
-    return static_cast<Record*>(h.registry_record_);
+  void push_to_batch(ReclaimNode* n) noexcept {
+    const std::uint64_t birth = birth_era_of(n);
+    if (batch_count_ == 0 || birth < batch_min_birth_)
+      batch_min_birth_ = birth;
+    n->smr_next = batch_head_;
+    if (batch_head_ == nullptr) batch_tail_ = n;
+    batch_head_ = n;
+    ++batch_count_;
   }
 
-  // Destructor-time cleanup: all threads quiescent, slots inactive and
-  // drained, so only unsealed per-record batches and orphans remain.
-  void drain_all() {
+  void reset_batch() noexcept {
+    batch_head_ = nullptr;
+    batch_tail_ = nullptr;
+    batch_count_ = 0;
+    batch_min_birth_ = 0;
+  }
+
+  void donate_batch(RetireMailbox& mailbox) noexcept {
+    mailbox.donate(batch_head_, batch_tail_);
+    reset_batch();
+  }
+
+  // Splices every donated retire (departed threads' unsealed batches and
+  // anything parked in the background mailbox) into this thread's batch,
+  // restoring the min-birth bound.  Returns the number of nodes adopted
+  // (0 = both mailboxes were raced empty).
+  unsigned adopt_all_mailboxes() noexcept {
+    unsigned adopted = 0;
+    adopted += splice_mailbox(dom_->orphans_);
+    adopted += splice_mailbox(dom_->bg_.mailbox);
+    return adopted;
+  }
+
+  unsigned splice_mailbox(RetireMailbox& mailbox) noexcept {
+    if (mailbox.empty()) return 0;
+    ReclaimNode* n = mailbox.take_all();
+    unsigned adopted = 0;
+    while (n != nullptr) {
+      ReclaimNode* next = n->smr_next;
+      push_to_batch(n);
+      ++adopted;
+      n = next;
+    }
+    return adopted;
+  }
+
+  // A batch needs one member node per live registry record (each
+  // insertion consumes a distinct node as the list entry) plus one, so
+  // the threshold adapts to membership: total_records() is incremented
+  // before a record is published, so this bound can only over-estimate,
+  // never under-estimate, the chain seal_batch() will walk.  The floor is
+  // the effective background threshold (initialized to the batch capacity
+  // and retuned by the adaptive controller; the registry term keeps it
+  // correct regardless of how far the controller lowers it).
+  unsigned required_batch() const noexcept {
+    const auto total =
+        static_cast<unsigned>(dom_->registry_.total_records());
+    return std::max(dom_->bg_.effective_scan_threshold(), total + 1);
+  }
+
+  // Hands the accumulated batch to all active, era-overlapping slots.
+  // The batch seal is Hyaline's reclaim cadence, so it carries the kScans
+  // counter and the scan-latency histogram (nodes are counted as
+  // reclaimed later, in free_batch, when the last reference drops).
+  void seal_batch() {
+    obs::TraceSpan span(obs::TraceKind::kSeal);
+    const std::uint64_t stats_t0 = obs::scan_begin(stats_);
+    // Surface in-flight activations before reading the slots: every node
+    // in this batch was unlinked before it was retired, so an activation
+    // the barrier does not surface belongs to a thread whose shared
+    // loads are all ordered after those unlinks — it cannot reach any
+    // node of this batch, and skipping its slot is safe (DESIGN.md §5).
+    if (dom_->fence_path_ != asymfence::Path::kClassic) {
+      asymfence::heavy_barrier(dom_->fence_path_);
+      obs::count(stats_, obs::Counter::kHeavyBarriers);
+    }
+    // Snapshot the registry AFTER the barrier.  Records pushed after
+    // this read are skippable by the same argument as an un-surfaced
+    // activation; records in the snapshot cover every thread that could
+    // hold a reference into this batch (DESIGN.md §7).
+    auto* snap = dom_->registry_.head();
+    unsigned len = 0;
+    for (auto* r = snap; r != nullptr; r = r->next_record()) ++len;
+    if (batch_count_ < len + 1) {
+      // The registry grew between the threshold check and the snapshot:
+      // not enough member nodes to give every slot a distinct entry.
+      // Keep accumulating; the next retire re-checks against the larger
+      // required_batch().
+      obs::scan_end(stats_, stats_t0, 0);
+      return;
+    }
+    auto* bh = new BatchHandle;
+    bh->refs.store(kGuard, std::memory_order_relaxed);
+    bh->first = batch_head_;
+    bh->count = batch_count_;
+    for (ReclaimNode* n = batch_head_; n != nullptr; n = n->smr_next)
+      n->batch = bh;
+
+    std::int64_t inserted = 0;
+    ReclaimNode* entry = batch_head_;
+    for (auto* r = snap; r != nullptr && entry != nullptr;
+         r = r->next_record()) {
+      auto& slot = r->handle.slot_;
+      std::uintptr_t h = slot.head.load(std::memory_order_acquire);
+      for (;;) {
+        if (h == kInactive) break;
+        if (slot.era.load(std::memory_order_acquire) < batch_min_birth_) {
+          // 1S filter: the slot's thread entered before any node in this
+          // batch was born; it would have restarted rather than hold a
+          // reference into the batch.
+          break;
+        }
+        entry->slot_next = reinterpret_cast<ReclaimNode*>(h);
+        if (slot.head.compare_exchange_weak(
+                h, reinterpret_cast<std::uintptr_t>(entry),
+                std::memory_order_acq_rel, std::memory_order_acquire)) {
+          ++inserted;
+          entry = entry->smr_next;  // consume one member node per slot
+          break;
+        }
+      }
+    }
+    reset_batch();
+    obs::scan_end(stats_, stats_t0, 0);
+    adjust(bh, inserted - kGuard);
+  }
+
+  void drain(std::uintptr_t list) noexcept {
+    auto* e = reinterpret_cast<ReclaimNode*>(list);
+    assert(list != kInactive);
+    while (e != nullptr) {
+      ReclaimNode* next = e->slot_next;  // read before the batch can die
+      adjust(static_cast<BatchHandle*>(e->batch), -1);
+      e = next;
+    }
+  }
+
+  void adjust(BatchHandle* bh, std::int64_t delta) noexcept {
+    if (bh->refs.fetch_add(delta, std::memory_order_acq_rel) + delta == 0)
+      free_batch(bh);
+  }
+
+  void free_batch(BatchHandle* bh) noexcept {
     std::uint64_t freed = 0;
-    for (auto* r = registry_.head(); r != nullptr; r = r->next_record()) {
-      ReclaimNode* n = r->handle.batch_head_;
-      while (n != nullptr) {
-        ReclaimNode* next = n->smr_next;
-        pool_.free(r->index, n, n->alloc_size);
-        ++freed;
-        n = next;
-      }
-      r->handle.batch_head_ = nullptr;
-      r->handle.batch_tail_ = nullptr;
-      r->handle.batch_count_ = 0;
+    ReclaimNode* n = bh->first;
+    while (n != nullptr) {
+      ReclaimNode* next = n->smr_next;
+      dom_->pool().free(tid_, n, n->alloc_size);
+      ++freed;
+      n = next;
     }
-    ReclaimNode* chains[] = {orphans_.take_all(), bg_.mailbox.take_all()};
-    for (ReclaimNode* n : chains) {
-      while (n != nullptr) {
-        ReclaimNode* next = n->smr_next;
-        pool_.free(0, n, n->alloc_size);
-        ++freed;
-        n = next;
-      }
-    }
-    counters_.on_free(freed, cfg_.track_stats);
+    assert(freed == bh->count);
+    dom_->counters_.on_free(freed, dom_->cfg_.track_stats);
+    // Charged to the handle that dropped the last reference ("reclamation
+    // by any thread"), which is always the calling thread — single-writer.
+    obs::count(stats_, obs::Counter::kNodesReclaimed, freed);
+    delete bh;
   }
 
-  SmrConfig cfg_;
-  NodePool pool_;
-  SmrCounters counters_;
-  std::atomic<std::uint64_t> clock_{1};
-  unsigned batch_capacity_;
-  asymfence::Path fence_path_;
-  // Declared before the registry: handles hold raw cell pointers, so the
-  // cell list must be destroyed after the records are.
-  obs::DomainStats stats_obs_;
-  HandleRegistry<Handle> registry_;
-  OrphanList orphans_;
-  ReclaimControl bg_;
-  std::unique_ptr<DomainReclaimer<HyalineDomain>> reclaimer_;
-#ifndef SCOT_DISALLOW_TID_SHIM
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  TidHandleShim<Handle> shim_;
-#pragma GCC diagnostic pop
-#endif
+  struct SlotData {
+    std::atomic<std::uintptr_t> head{kInactive};
+    std::atomic<std::uint64_t> era{0};
+  };
+
+  // Reservation slot (the record's alignment isolates it from other
+  // threads' lines).
+  SlotData slot_;
+  std::uint64_t era_local_ = 0;
+  bool restart_ = false;
+  ReclaimNode* batch_head_ = nullptr;
+  ReclaimNode* batch_tail_ = nullptr;
+  unsigned batch_count_ = 0;
+  std::uint64_t batch_min_birth_ = 0;
 };
 
 }  // namespace scot

@@ -18,381 +18,180 @@
 // after the scan's barrier, so it cannot reach the nodes being freed
 // (DESIGN.md §5, IBR tear note).
 //
-// Membership is dynamic (see nr.hpp): the interval lives inside the Handle,
-// scans walk the live registry, and leave() idles the interval, scans, and
-// donates the leftover limbo to the domain's orphan list.
+// The interval lives inside the Handle and scans walk the live registry;
+// membership, retire and the leave() handoff come from
+// DomainCore/LimboHandle.
 #pragma once
 
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <utility>
 
-#include "common/align.hpp"
 #include "common/asymfence.hpp"
 #include "common/chunked_list.hpp"
 #include "obs/stats.hpp"
 #include "obs/trace.hpp"
-#include "smr/handle_core.hpp"
-#include "smr/handle_registry.hpp"
-#include "smr/node_pool.hpp"
-#include "smr/reclaimer.hpp"
-#include "smr/smr_config.hpp"
+#include "smr/domain_core.hpp"
 
 namespace scot {
 
-class IbrDomain {
+class IbrHandle;
+
+class IbrDomain : public DomainCore<IbrDomain, IbrHandle> {
  public:
   static constexpr const char* kName = "IBR";
   static constexpr bool kRobust = true;
   static constexpr std::uint64_t kIdle = ~std::uint64_t{0};
+  using Handle = IbrHandle;
 
-  class Handle : public HandleCore<IbrDomain, Handle> {
-   public:
-    using Base = HandleCore<IbrDomain, Handle>;
-    using Base::retire;  // typed retire(Protected<T>) — API v2
-    Handle(IbrDomain* dom, unsigned tid) : Base(dom, tid) {}
+  using DomainCore::DomainCore;
 
-    void begin_op() noexcept {
-      // Activation publishes the interval: `lower` first (release), then
-      // `upper`, whose store carries the StoreLoad edge against this
-      // operation's shared loads.  Classic: seq_cst.  Asymmetric: release +
-      // compiler barrier, compensated by the heavy barrier scans issue
-      // before collect_intervals() (DESIGN.md §5, activation case).  Both
-      // eras come from the clock value loaded first, so the published
-      // interval can never lag the era this operation validates against.
-      const std::uint64_t e = dom_->clock_.load(std::memory_order_acquire);
-      upper_cache_ = e;
-      res_lower_.store(e, std::memory_order_release);
-      const asymfence::Path fences = dom_->fence_path_;
-      if (fences == asymfence::Path::kClassic) {
-        res_upper_.store(e, std::memory_order_seq_cst);
-      } else {
-        res_upper_.store(e, std::memory_order_release);
-        asymfence::light_barrier(fences);
-      }
-    }
-
-    void end_op() noexcept {
-      res_upper_.store(kIdle, std::memory_order_release);
-      res_lower_.store(kIdle, std::memory_order_release);
-    }
-
-    // The common case (era unchanged since the last bump) is fence-free
-    // either way; the asymmetric discipline relaxes the `upper` bump, whose
-    // StoreLoad edge against the loop's re-read is restored by the heavy
-    // barrier scans issue before collect_intervals() (DESIGN.md §5).
-    // `Src` is std::atomic<P> or StableAtomic<P>.
-    template <class Src, class P = typename Src::value_type>
-    P protect(const Src& src, unsigned /*idx*/) noexcept {
-      const asymfence::Path fences = dom_->fence_path_;
-      for (;;) {
-        P v = src.load(std::memory_order_acquire);
-        const std::uint64_t e = dom_->clock_.load(std::memory_order_seq_cst);
-        if (e == upper_cache_) return v;
-        if (fences == asymfence::Path::kClassic) {
-          res_upper_.store(e, std::memory_order_seq_cst);
-        } else {
-          res_upper_.store(e, std::memory_order_release);
-          asymfence::light_barrier(fences);
-        }
-        upper_cache_ = e;
-      }
-    }
-
-    template <class T>
-    void publish(T* /*p*/, unsigned /*idx*/) noexcept {}
-    void dup(unsigned /*i*/, unsigned /*j*/) noexcept {}
-    static constexpr bool op_valid() noexcept { return true; }
-    void revalidate_op() noexcept {}
-
-    void retire(ReclaimNode* n) {
-      n->debug_state = kNodeRetired;
-      n->retire_era = dom_->clock_.load(std::memory_order_acquire);
-      limbo_.push(n);
-      if (!dom_->bg_.is_active() && adopt_all_mailboxes() > 0) {
-        obs::count(stats_, obs::Counter::kOrphanAdoptions);
-        obs::trace_instant(obs::TraceKind::kAdopt);
-      }
-      dom_->counters_.on_retire(dom_->cfg_.track_stats);
-      obs::count(stats_, obs::Counter::kRetires);
-      obs::peak(stats_, limbo_.count);
-      era_tick();
-      if (limbo_.count >= dom_->bg_.effective_scan_threshold()) {
-        if (dom_->bg_.is_active()) {
-          donate_limbo(limbo_, dom_->bg_.mailbox);
-          dom_->bg_.thread.ring();
-        } else {
-          scan();
-        }
-      }
-    }
-
-    std::uint64_t on_alloc_era() noexcept {
-      era_tick();
-      return dom_->clock_.load(std::memory_order_acquire);
-    }
-
-    void scan() {
-      obs::TraceSpan span(obs::TraceKind::kScan);
-      const std::uint64_t stats_t0 = obs::scan_begin(stats_);
-      // Heavy barrier before the snapshot; the registry head is read after
-      // it, so records of late-joining threads are covered by the same
-      // argument (DESIGN.md §7).
-      if (dom_->fence_path_ != asymfence::Path::kClassic) {
-        asymfence::heavy_barrier(dom_->fence_path_);
-        obs::count(stats_, obs::Counter::kHeavyBarriers);
-      }
-      snapshot_.clear();
-      dom_->collect_intervals(snapshot_);
-      std::uint64_t freed = 0;
-      ReclaimNode* n = limbo_.take();
-      while (n != nullptr) {
-        ReclaimNode* next = n->smr_next;
-        if (lifetime_reserved(birth_era_of(n), n->retire_era)) {
-          limbo_.push(n);
-        } else {
-          dom_->pool().free(tid_, n, n->alloc_size);
-          ++freed;
-        }
-        n = next;
-      }
-      dom_->counters_.on_free(freed, dom_->cfg_.track_stats);
-      obs::scan_end(stats_, stats_t0, freed);
-    }
-
-    unsigned limbo_size() const noexcept { return limbo_.count; }
-
-    // --- background-reclaimer hooks (service thread only; DESIGN.md §9) ---
-    unsigned bg_collect() { return adopt_all_mailboxes(); }
-    bool bg_reclaim() {
-      if (limbo_.count == 0) return false;
-      scan();
-      return true;
-    }
-
-   private:
-    friend class IbrDomain;
-
-    unsigned adopt_all_mailboxes() {
-      unsigned adopted = 0;
-      if (!dom_->orphans_.empty())
-        adopted += adopt_orphans(dom_->orphans_, limbo_);
-      if (!dom_->bg_.mailbox.empty())
-        adopted += adopt_orphans(dom_->bg_.mailbox, limbo_);
-      return adopted;
-    }
-
-    bool lifetime_reserved(std::uint64_t birth,
-                           std::uint64_t retire) noexcept {
-      for (std::size_t i = 0; i < snapshot_.size(); ++i) {
-        const auto& [lo, hi] = snapshot_[i];
-        if (birth <= hi && retire >= lo) return true;
-      }
-      return false;
-    }
-
-    void era_tick() noexcept {
-      if (++tick_ >= dom_->bg_.effective_era_freq()) {
-        tick_ = 0;
-        dom_->clock_.fetch_add(1, std::memory_order_acq_rel);
-        obs::count(stats_, obs::Counter::kEraAdvances);
-      }
-    }
-
-    // Published interval (moved from the domain's per-tid array; the
-    // record's alignment isolates it).
-    std::atomic<std::uint64_t> res_lower_{kIdle};
-    std::atomic<std::uint64_t> res_upper_{kIdle};
-    LimboList limbo_;
-    std::uint64_t upper_cache_ = kIdle;
-    unsigned tick_ = 0;
-    // Scan scratch, reused across scans; grows with the registry.
-    ChunkedList<std::pair<std::uint64_t, std::uint64_t>> snapshot_;
-  };
-
-  explicit IbrDomain(SmrConfig cfg = {})
-      : cfg_(cfg),
-        pool_(cfg.max_threads),
-        fence_path_(asymfence::resolve(cfg.asymmetric_fences))
-#ifndef SCOT_DISALLOW_TID_SHIM
-        ,
-        shim_(cfg.max_threads)
-#endif
-  {
-    bg_.scan_threshold.store(cfg_.scan_threshold, std::memory_order_relaxed);
-    bg_.era_freq.store(cfg_.era_freq, std::memory_order_relaxed);
-    if (cfg_.background_reclaim) start_background_reclaimer();
-  }
-
-  ~IbrDomain() {
-    stop_background_reclaimer();
-    drain_all();
-  }
-
-  // --- dynamic membership (see nr.hpp for the reference walkthrough) ------
-  Handle& join() {
-    auto* rec =
-        registry_.acquire([this](unsigned idx) { return Handle(this, idx); });
-    rec->handle.registry_record_ = rec;
-    pool_.ensure_shards(rec->index + 1);
-    obs::count(rec->handle.stats_, obs::Counter::kJoins);
-    obs::trace_instant(obs::TraceKind::kJoin);
-    return rec->handle;
-  }
-
-  // Contract: no operation in flight (the interval is idle).  A final scan
-  // reclaims what it can; the rest is donated for adoption.
-  void leave(Handle& h) {
-    assert(h.res_upper_.load(std::memory_order_relaxed) == kIdle &&
-           "leave() with an operation in flight");
-    if (h.limbo_.count > 0) {
-      if (bg_.is_active()) {
-        donate_limbo(h.limbo_, bg_.mailbox);
-        bg_.thread.ring();
-        obs::count(h.stats_, obs::Counter::kOrphanDonations);
-      } else {
-        h.scan();
-        if (donate_limbo(h.limbo_, orphans_) > 0)
-          obs::count(h.stats_, obs::Counter::kOrphanDonations);
-      }
-    }
-    obs::count(h.stats_, obs::Counter::kLeaves);
-    obs::trace_instant(obs::TraceKind::kLeave);
-    registry_.release(record_of(h));
-  }
-
-  unsigned active_handles() const noexcept { return registry_.active(); }
-  std::size_t total_handle_records() const noexcept {
-    return registry_.total_records();
-  }
-  const HandleRegistry<Handle>& registry() const noexcept { return registry_; }
-
-#ifndef SCOT_DISALLOW_TID_SHIM
-  // DEPRECATED: fixed-capacity tid-indexed access (joins once per tid and
-  // pins the record forever).  New code should use scoped_handle(domain).
-  Handle& handle(unsigned tid) { return shim_.get(*this, tid); }
-#endif
-
-  // --- background reclamation (smr/reclaimer.hpp, DESIGN.md §9) -----------
-  ReclaimControl& reclaim_control() noexcept { return bg_; }
-  bool background_active() const noexcept { return bg_.is_active(); }
-  BgReclaimStats background_stats() const noexcept { return bg_stats_of(bg_); }
-  bool counts_heavy_barrier_per_reclaim() const noexcept {
-    return fence_path_ != asymfence::Path::kClassic;
-  }
-
-  void start_background_reclaimer() {
-    if (bg_.thread.running()) return;
-    if (!reclaimer_)
-      reclaimer_ = std::make_unique<DomainReclaimer<IbrDomain>>(*this);
-    bg_.active.store(true, std::memory_order_release);
-    bg_.thread.start(cfg_.reclaim_interval_us,
-                     [this] { reclaimer_->round(); });
-  }
-
-  void stop_background_reclaimer() {
-    bg_.active.store(false, std::memory_order_release);
-    bg_.thread.stop();
-    if (reclaimer_) {
-      reclaimer_->detach();
-      reclaimer_.reset();
-    }
-  }
-
-  const SmrConfig& config() const noexcept { return cfg_; }
-  NodePool& pool() noexcept { return pool_; }
-  std::int64_t pending_nodes() const noexcept {
-    return counters_.pending.load(std::memory_order_relaxed);
-  }
-  const SmrCounters& counters() const noexcept { return counters_; }
   std::uint64_t era() const noexcept {
     return clock_.load(std::memory_order_acquire);
-  }
-  asymfence::Path fence_path() const noexcept { return fence_path_; }
-
-  // Observability (DESIGN.md §8): the per-handle cell list and the
-  // aggregated snapshot.
-  obs::DomainStats& obs_stats() noexcept { return stats_obs_; }
-  obs::StatsSnapshot stats() const {
-    obs::StatsSnapshot s = stats_obs_.snapshot();
-    s.enabled = SCOT_STATS != 0 && cfg_.track_stats;
-    s.pending = pending_nodes();
-    s.retired_total = counters_.retired.load(std::memory_order_relaxed);
-    s.reclaimed_total = counters_.reclaimed.load(std::memory_order_relaxed);
-    return s;
   }
 
   // Walks the live registry; records of departed threads hold idle
   // intervals.  `Out` is any push_back-able container of
   // pair<uint64_t, uint64_t>.
   template <class Out>
-  void collect_intervals(Out& out) const {
-    for (const auto* r = registry_.head(); r != nullptr;
-         r = r->next_record()) {
-      // upper first, then lower (see the ordering note above).
-      const std::uint64_t hi =
-          r->handle.res_upper_.load(std::memory_order_acquire);
-      const std::uint64_t lo =
-          r->handle.res_lower_.load(std::memory_order_acquire);
-      if (lo == kIdle && hi == kIdle) continue;
-      // kIdle halves of a torn observation widen conservatively; a
-      // stale-upper tear can produce an empty interval, covered by the
-      // scan barrier instead (see the ordering note at the top).
-      out.push_back({lo == kIdle ? 0 : lo, hi == kIdle ? ~std::uint64_t{0} : hi});
+  void collect_intervals(Out& out) const;
+};
+
+class IbrHandle : public LimboHandle<IbrDomain, IbrHandle> {
+ public:
+  static constexpr bool kRetireEras = true;
+  static constexpr std::uint64_t kIdle = IbrDomain::kIdle;
+
+  using LimboHandle::LimboHandle;
+
+  void begin_op() noexcept {
+    // Activation publishes the interval: `lower` first (release), then
+    // `upper`, whose store carries the StoreLoad edge against this
+    // operation's shared loads.  Classic: seq_cst.  Asymmetric: release +
+    // compiler barrier, compensated by the heavy barrier scans issue
+    // before collect_intervals() (DESIGN.md §5, activation case).  Both
+    // eras come from the clock value loaded first, so the published
+    // interval can never lag the era this operation validates against.
+    const std::uint64_t e = dom_->clock_.load(std::memory_order_acquire);
+    upper_cache_ = e;
+    res_lower_.store(e, std::memory_order_release);
+    const asymfence::Path fences = dom_->fence_path_;
+    if (fences == asymfence::Path::kClassic) {
+      res_upper_.store(e, std::memory_order_seq_cst);
+    } else {
+      res_upper_.store(e, std::memory_order_release);
+      asymfence::light_barrier(fences);
     }
+  }
+
+  void end_op() noexcept {
+    res_upper_.store(kIdle, std::memory_order_release);
+    res_lower_.store(kIdle, std::memory_order_release);
+  }
+
+  // The common case (era unchanged since the last bump) is fence-free
+  // either way; the asymmetric discipline relaxes the `upper` bump, whose
+  // StoreLoad edge against the loop's re-read is restored by the heavy
+  // barrier scans issue before collect_intervals() (DESIGN.md §5).
+  // `Src` is std::atomic<P> or StableAtomic<P>.
+  template <class Src, class P = typename Src::value_type>
+  P protect(const Src& src, unsigned /*idx*/) noexcept {
+    const asymfence::Path fences = dom_->fence_path_;
+    for (;;) {
+      P v = src.load(std::memory_order_acquire);
+      const std::uint64_t e = dom_->clock_.load(std::memory_order_seq_cst);
+      if (e == upper_cache_) return v;
+      if (fences == asymfence::Path::kClassic) {
+        res_upper_.store(e, std::memory_order_seq_cst);
+      } else {
+        res_upper_.store(e, std::memory_order_release);
+        asymfence::light_barrier(fences);
+      }
+      upper_cache_ = e;
+    }
+  }
+
+  template <class T>
+  void publish(T* /*p*/, unsigned /*idx*/) noexcept {}
+  void dup(unsigned /*i*/, unsigned /*j*/) noexcept {}
+  static constexpr bool op_valid() noexcept { return true; }
+  void revalidate_op() noexcept {}
+
+  std::uint64_t on_alloc_era() noexcept {
+    era_tick();
+    return dom_->clock_.load(std::memory_order_acquire);
+  }
+
+  void scan() {
+    obs::TraceSpan span(obs::TraceKind::kScan);
+    const std::uint64_t stats_t0 = obs::scan_begin(stats_);
+    // Heavy barrier before the snapshot; the registry head is read after
+    // it, so records of late-joining threads are covered by the same
+    // argument (DESIGN.md §7).
+    if (dom_->fence_path_ != asymfence::Path::kClassic) {
+      asymfence::heavy_barrier(dom_->fence_path_);
+      obs::count(stats_, obs::Counter::kHeavyBarriers);
+    }
+    snapshot_.clear();
+    dom_->collect_intervals(snapshot_);
+    std::uint64_t freed = 0;
+    ReclaimNode* n = limbo_.take();
+    while (n != nullptr) {
+      ReclaimNode* next = n->smr_next;
+      if (lifetime_reserved(birth_era_of(n), n->retire_era)) {
+        limbo_.push(n);
+      } else {
+        dom_->pool().free(tid_, n, n->alloc_size);
+        ++freed;
+      }
+      n = next;
+    }
+    dom_->counters_.on_free(freed, dom_->cfg_.track_stats);
+    obs::scan_end(stats_, stats_t0, freed);
+  }
+
+  // DomainCore hook: the interval must be idle.
+  void on_leave() {
+    assert(res_upper_.load(std::memory_order_relaxed) == kIdle &&
+           "leave() with an operation in flight");
+    LimboHandle::on_leave();
   }
 
  private:
-  friend class Handle;
+  friend class IbrDomain;
 
-  using Record = HandleRegistry<Handle>::Record;
-  static Record* record_of(Handle& h) noexcept {
-    return static_cast<Record*>(h.registry_record_);
+  bool lifetime_reserved(std::uint64_t birth,
+                         std::uint64_t retire) noexcept {
+    for (std::size_t i = 0; i < snapshot_.size(); ++i) {
+      const auto& [lo, hi] = snapshot_[i];
+      if (birth <= hi && retire >= lo) return true;
+    }
+    return false;
   }
 
-  void drain_all() {
-    std::uint64_t freed = 0;
-    for (auto* r = registry_.head(); r != nullptr; r = r->next_record()) {
-      ReclaimNode* n = r->handle.limbo_.take();
-      while (n != nullptr) {
-        ReclaimNode* next = n->smr_next;
-        pool_.free(r->index, n, n->alloc_size);
-        ++freed;
-        n = next;
-      }
-    }
-    ReclaimNode* chains[] = {orphans_.take_all(), bg_.mailbox.take_all()};
-    for (ReclaimNode* n : chains) {
-      while (n != nullptr) {
-        ReclaimNode* next = n->smr_next;
-        pool_.free(0, n, n->alloc_size);
-        ++freed;
-        n = next;
-      }
-    }
-    counters_.on_free(freed, cfg_.track_stats);
-  }
-
-  SmrConfig cfg_;
-  NodePool pool_;
-  SmrCounters counters_;
-  std::atomic<std::uint64_t> clock_{1};
-  asymfence::Path fence_path_;
-  // Declared before the registry: handles hold raw cell pointers, so the
-  // cell list must be destroyed after the records are.
-  obs::DomainStats stats_obs_;
-  HandleRegistry<Handle> registry_;
-  OrphanList orphans_;
-  ReclaimControl bg_;
-  std::unique_ptr<DomainReclaimer<IbrDomain>> reclaimer_;
-#ifndef SCOT_DISALLOW_TID_SHIM
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  TidHandleShim<Handle> shim_;
-#pragma GCC diagnostic pop
-#endif
+  // Published interval (the record's alignment isolates it).
+  std::atomic<std::uint64_t> res_lower_{kIdle};
+  std::atomic<std::uint64_t> res_upper_{kIdle};
+  std::uint64_t upper_cache_ = kIdle;
+  // Scan scratch, reused across scans; grows with the registry.
+  ChunkedList<std::pair<std::uint64_t, std::uint64_t>> snapshot_;
 };
+
+template <class Out>
+void IbrDomain::collect_intervals(Out& out) const {
+  for (const auto* r = registry_.head(); r != nullptr; r = r->next_record()) {
+    // upper first, then lower (see the ordering note above).
+    const std::uint64_t hi =
+        r->handle.res_upper_.load(std::memory_order_acquire);
+    const std::uint64_t lo =
+        r->handle.res_lower_.load(std::memory_order_acquire);
+    if (lo == kIdle && hi == kIdle) continue;
+    // kIdle halves of a torn observation widen conservatively; a
+    // stale-upper tear can produce an empty interval, covered by the
+    // scan barrier instead (see the ordering note at the top).
+    out.push_back({lo == kIdle ? 0 : lo, hi == kIdle ? ~std::uint64_t{0} : hi});
+  }
+}
 
 }  // namespace scot

@@ -39,9 +39,9 @@
 //    donates whatever is still reservation-protected to the orphan mailbox.
 //    Custody is preserved at every step; nothing leaks (ASan-verified in
 //    tests/smr/reclaimer_test.cpp).
-//  * The domain destructor calls stop before drain_all(), and drain_all
-//    also empties the background mailbox — so shutdown mid-donation is
-//    safe.
+//  * The domain destructor (DomainCore) calls stop before drain_all(), and
+//    drain_all also empties the background mailbox — so shutdown
+//    mid-donation is safe.
 //  * fork() note: like any thread-owning object, the reclaimer does not
 //    survive fork(); a child process must not touch a domain whose parent
 //    had background reclamation running.  (No fork handlers are installed —
@@ -55,6 +55,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <thread>
@@ -101,7 +102,7 @@ class ReclaimerThreadBase {
 };
 
 // Per-domain shared state for the background path, embedded by value in
-// every scheme domain.  Mutators touch only `mailbox`, the three effective
+// DomainCore.  Mutators touch only `mailbox`, the three effective
 // knobs and the doorbell; the telemetry block is single-writer (the service
 // thread) / racy-read (background_stats()).
 struct ReclaimControl {
@@ -169,16 +170,22 @@ inline BgReclaimStats bg_stats_of(const ReclaimControl& c) noexcept {
   return s;
 }
 
-// The domain-typed half of the service: owns the reclaimer's registered
-// handle and the round/adapt logic.  Domain must provide:
-//   reclaim_control()          -> ReclaimControl&
-//   join() / leave(Handle&)    -> registry membership
-//   config(), pending_nodes()
-//   counts_heavy_barrier_per_reclaim() -> bool (fence path != classic)
-// and its Handle must provide the two background hooks:
+// A handle the service thread can drive: the two background hooks.
 //   bg_collect()  -> unsigned  adopt mailbox + orphans into own limbo/batch
 //   bg_reclaim()  -> bool      run the shared scan/seal entry point if there
 //                              is anything to reclaim; true if it ran
+// NR's handle has neither (it never reclaims), so its domain keeps an inert
+// background surface.
+template <class Handle>
+concept BackgroundReclaimable = requires(Handle& h) {
+  { h.bg_collect() } -> std::convertible_to<unsigned>;
+  { h.bg_reclaim() } -> std::convertible_to<bool>;
+};
+
+// The domain-typed half of the service: owns the reclaimer's registered
+// handle and the round/adapt logic.  Domain is a DomainCore-derived domain
+// (smr/domain_core.hpp) whose Handle is BackgroundReclaimable.  The owner
+// must detach() before destroying it (DomainCore's stop does).
 template <class Domain>
 class DomainReclaimer {
  public:
@@ -189,9 +196,6 @@ class DomainReclaimer {
             d.reclaim_control().effective_scan_threshold()),
         base_era_freq_(d.reclaim_control().effective_era_freq()) {}
 
-  ~DomainReclaimer() {
-    if (h_ != nullptr) detach();
-  }
   DomainReclaimer(const DomainReclaimer&) = delete;
   DomainReclaimer& operator=(const DomainReclaimer&) = delete;
 

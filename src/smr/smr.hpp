@@ -1,6 +1,5 @@
-// Umbrella header for the reclamation schemes, plus the compile-time
-// concepts data structures are written against (v1 indexed calls and the
-// v2 guard-centric surface — see smr/guard.hpp and DESIGN.md §6).
+// Umbrella header for the reclamation schemes, plus the one compile-time
+// concept data structures are written against (DESIGN.md §6).
 #pragma once
 
 #include <atomic>
@@ -20,111 +19,65 @@
 
 namespace scot {
 
-// The v1 policy interface: indexed protection with manual slot bookkeeping.
-// Kept intact as the compatibility surface — HandleCore and the scheme
-// handles still provide every one of these calls, so pre-v2 code keeps
-// compiling.  See DESIGN.md §4: indexed protection maps to real slots for
-// HP/HE and to no-ops for EBR/IBR/Hyaline/NR, so one SCOT implementation
-// serves all schemes.
+// The scheme⇄structure contract.  Threads join()/leave() the domain at any
+// point in its lifetime (scoped_handle(d) is the RAII spelling; DESIGN.md
+// §7).  Through the joined handle a structure brackets operations, protects
+// by index — real slots for HP/HE, no-ops for EBR/IBR/Hyaline/NR (DESIGN.md
+// §4) — and retires; the typed guard surface (TraversalGuard, named
+// ProtectionSlots, Protected<T>; smr/guard.hpp) is a zero-cost veneer over
+// those calls.  Every domain also exposes the uniform background-reclaimer
+// lifecycle (DESIGN.md §9); NR's is inert.  DomainCore and HandleCore
+// supply everything here except the protocol calls a scheme defines.
 template <class D>
-concept SmrDomain = requires(D d, typename D::Handle& h,
-                             const std::atomic<ReclaimNode*>& src,
-                             ReclaimNode* n, unsigned idx) {
-  { D::kName } -> std::convertible_to<const char*>;
-  { D::kRobust } -> std::convertible_to<bool>;
-#ifndef SCOT_DISALLOW_TID_SHIM
-  { d.handle(idx) } -> std::same_as<typename D::Handle&>;
-#endif
-  { d.pending_nodes() } -> std::convertible_to<std::int64_t>;
-  h.begin_op();
-  h.end_op();
-  { h.protect(src, idx) } -> std::same_as<ReclaimNode*>;
-  h.publish(n, idx);
-  h.dup(idx, idx);
-  { h.op_valid() } -> std::convertible_to<bool>;
-  h.revalidate_op();
-  h.retire(n);
-};
-
-// The v2 contract the data structures in src/core are written against:
-// everything v1 provides, plus the typed guard-centric surface — RAII
-// operation guards, named protection slots with the ascending-dup
-// discipline asserted inside, typed Protected<T> views and typed
-// retirement.  All of it is a zero-cost veneer over the v1 calls, so any
-// SmrDomain whose handle derives from HandleCore models SmrDomainV2 for
-// free.
-template <class D>
-concept SmrDomainV2 =
-    SmrDomain<D> &&
+concept SmrDomain =
     requires(D d, typename D::Handle& h, TraversalGuard<typename D::Handle>& g,
              ProtectionSlot<typename D::Handle, ReclaimNode> slot,
+             const std::atomic<ReclaimNode*>& src,
              const StableAtomic<marked_ptr<ReclaimNode>>& link,
-             Protected<ReclaimNode> p, ReclaimNode* anchor) {
+             Protected<ReclaimNode> p, ReclaimNode* n, unsigned idx) {
+      { D::kName } -> std::convertible_to<const char*>;
+      { D::kRobust } -> std::convertible_to<bool>;
       { d.config() } -> std::convertible_to<const SmrConfig&>;
-      { g.handle() } -> std::same_as<typename D::Handle&>;
-      { g.valid() } -> std::convertible_to<bool>;
-      g.revalidate();
-      { g.template slot<ReclaimNode>() } ->
-          std::same_as<ProtectionSlot<typename D::Handle, ReclaimNode>>;
-      { slot.protect(link) } -> std::same_as<Protected<ReclaimNode>>;
-      slot.publish(anchor);
-      slot.dup_from(slot);
-      h.retire(p);
-    };
-
-static_assert(SmrDomainV2<NoReclaimDomain>);
-static_assert(SmrDomainV2<EbrDomain>);
-static_assert(SmrDomainV2<HpDomain>);
-static_assert(SmrDomainV2<HpOptDomain>);
-static_assert(SmrDomainV2<HeDomain>);
-static_assert(SmrDomainV2<IbrDomain>);
-static_assert(SmrDomainV2<HyalineDomain>);
-
-// Dynamic membership (this PR): threads join()/leave() the domain at any
-// point in its lifetime instead of being bound to a [0, max_threads) tid at
-// construction.  join() returns a handle backed by a registry record;
-// leave() retires the record for reuse and hands any still-pending retired
-// nodes to the domain for adoption by the next retirer.  scoped_handle(d)
-// (smr/handle_registry.hpp) is the RAII spelling and the preferred way to
-// obtain a handle.  d.handle(tid) remains as a deprecated fixed-capacity
-// shim.  See DESIGN.md §7 for the lifecycle invariants.
-template <class D>
-concept SmrDomainDynamic =
-    SmrDomainV2<D> && requires(D d, typename D::Handle& h) {
+      { d.pending_nodes() } -> std::convertible_to<std::int64_t>;
       { d.join() } -> std::same_as<typename D::Handle&>;
       d.leave(h);
       { d.active_handles() } -> std::convertible_to<unsigned>;
       { d.total_handle_records() } -> std::convertible_to<std::size_t>;
       { d.registry() } ->
           std::same_as<const HandleRegistry<typename D::Handle>&>;
-      // Background reclamation (DESIGN.md §9): every domain exposes the
-      // uniform lifecycle surface; NR's is a no-op.
+      { d.restarts() } -> std::convertible_to<std::uint64_t>;
+      { d.recoveries() } -> std::convertible_to<std::uint64_t>;
       { d.background_active() } -> std::convertible_to<bool>;
       { d.background_stats() } -> std::same_as<BgReclaimStats>;
       d.start_background_reclaimer();
       d.stop_background_reclaimer();
+
+      h.begin_op();
+      h.end_op();
+      { h.protect(src, idx) } -> std::same_as<ReclaimNode*>;
+      h.publish(n, idx);
+      h.dup(idx, idx);
+      { h.op_valid() } -> std::convertible_to<bool>;
+      h.revalidate_op();
+      h.retire(n);
+      h.retire(p);
+
+      { g.handle() } -> std::same_as<typename D::Handle&>;
+      { g.valid() } -> std::convertible_to<bool>;
+      g.revalidate();
+      { g.template slot<ReclaimNode>() } ->
+          std::same_as<ProtectionSlot<typename D::Handle, ReclaimNode>>;
+      { slot.protect(link) } -> std::same_as<Protected<ReclaimNode>>;
+      slot.publish(n);
+      slot.dup_from(slot);
     };
 
-static_assert(SmrDomainDynamic<NoReclaimDomain>);
-static_assert(SmrDomainDynamic<EbrDomain>);
-static_assert(SmrDomainDynamic<HpDomain>);
-static_assert(SmrDomainDynamic<HpOptDomain>);
-static_assert(SmrDomainDynamic<HeDomain>);
-static_assert(SmrDomainDynamic<IbrDomain>);
-static_assert(SmrDomainDynamic<HyalineDomain>);
-
-// RAII guard for an SMR critical section (v1 spelling; TraversalGuard is
-// the v2 equivalent and additionally owns slot allocation).
-template <class Handle>
-class OpGuard {
- public:
-  explicit OpGuard(Handle& h) : h_(h) { h_.begin_op(); }
-  ~OpGuard() { h_.end_op(); }
-  OpGuard(const OpGuard&) = delete;
-  OpGuard& operator=(const OpGuard&) = delete;
-
- private:
-  Handle& h_;
-};
+static_assert(SmrDomain<NoReclaimDomain>);
+static_assert(SmrDomain<EbrDomain>);
+static_assert(SmrDomain<HpDomain>);
+static_assert(SmrDomain<HpOptDomain>);
+static_assert(SmrDomain<HeDomain>);
+static_assert(SmrDomain<IbrDomain>);
+static_assert(SmrDomain<HyalineDomain>);
 
 }  // namespace scot

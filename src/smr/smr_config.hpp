@@ -44,8 +44,9 @@ inline bool bg_reclaim_default() noexcept {
 }  // namespace smr_config_detail
 
 struct SmrConfig {
-  // Capacity: number of handles (threads) the domain serves.  Handle ids are
-  // dense in [0, max_threads).
+  // Sizing hint for the expected number of concurrent handles; membership
+  // itself is dynamic.  Seeds the NodePool shard count, the wait-free help
+  // registry, and Hyaline's automatic batch capacity.
   unsigned max_threads = 8;
 
   // Limbo-list scan frequency: reclamation is attempted once per
@@ -58,8 +59,10 @@ struct SmrConfig {
   // count; the benchmark harness sets that, the default suits tests.
   unsigned era_freq = 128;
 
-  // Number of protection indices per thread for slot-based schemes (HP, HE).
-  // The SCOT list needs 4, the SCOT tree needs 5.
+  // Number of protection indices per thread for slot-based schemes (HP, HE),
+  // in [1, 32] (domains throw otherwise).  Each structure declares what its
+  // traversal needs as kSlotsRequired and refuses a smaller value: the SCOT
+  // list needs 4, the SCOT tree 6, the kv map 7.
   unsigned slots_per_thread = 8;
 
   // Hyaline batch capacity; 0 = auto (max_threads + 1, the minimum that

@@ -173,15 +173,17 @@ TEST(AnyDeque, EverySchemeConcurrentMixedEndConservation) {
   }
 }
 
-TEST(AnyDeque, DeprecatedTidSurfaceStillWorks) {
+TEST(AnyDeque, SessionsShareOneDeque) {
   auto dq = AnyDeque::make(SchemeId::kHE, StructureId::kDeque,
                            small_options(2));
   ASSERT_TRUE(dq.has_value());
-  EXPECT_TRUE(dq->push_left(0, 11));
-  EXPECT_TRUE(dq->push_right(1, 22));
-  EXPECT_EQ(dq->pop_right(0), 22u);
-  EXPECT_EQ(dq->pop_right(1), 11u);
-  EXPECT_EQ(dq->pop_left(0), std::nullopt);
+  auto a = dq->session();
+  auto b = dq->session();
+  EXPECT_TRUE(a.push_left(11));
+  EXPECT_TRUE(b.push_right(22));
+  EXPECT_EQ(a.pop_right(), 22u);
+  EXPECT_EQ(b.pop_right(), 11u);
+  EXPECT_EQ(a.pop_left(), std::nullopt);
 }
 
 // Destruction with elements resident — and, in the concurrent variant,

@@ -172,16 +172,18 @@ TEST(AnyQueue, EverySchemeConcurrentConservationAndOrder) {
   }
 }
 
-// The tid surface stays usable for fixed-capacity callers.
-TEST(AnyQueue, DeprecatedTidSurfaceStillWorks) {
+// Two sessions held by one thread share the queue's contents.
+TEST(AnyQueue, SessionsShareOneQueue) {
   auto q = AnyQueue::make(SchemeId::kIBR, StructureId::kMSQueue,
                           small_options(2));
   ASSERT_TRUE(q.has_value());
-  EXPECT_TRUE(q->enqueue(0, 11));
-  EXPECT_TRUE(q->enqueue(1, 22));
-  EXPECT_EQ(q->dequeue(0), 11u);
-  EXPECT_EQ(q->dequeue(1), 22u);
-  EXPECT_EQ(q->dequeue(0), std::nullopt);
+  auto a = q->session();
+  auto b = q->session();
+  EXPECT_TRUE(a.enqueue(11));
+  EXPECT_TRUE(b.enqueue(22));
+  EXPECT_EQ(a.dequeue(), 11u);
+  EXPECT_EQ(b.dequeue(), 22u);
+  EXPECT_EQ(a.dequeue(), std::nullopt);
 }
 
 // Destruction with elements still linked must release every node through

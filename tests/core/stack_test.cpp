@@ -113,15 +113,17 @@ TEST(AnyStack, EverySchemeConcurrentConservation) {
   }
 }
 
-TEST(AnyStack, DeprecatedTidSurfaceStillWorks) {
+TEST(AnyStack, SessionsShareOneStack) {
   auto st = AnyStack::make(SchemeId::kHPopt, StructureId::kTreiberStack,
                            small_options(2));
   ASSERT_TRUE(st.has_value());
-  EXPECT_TRUE(st->push(0, 11));
-  EXPECT_TRUE(st->push(1, 22));
-  EXPECT_EQ(st->pop(0), 22u);
-  EXPECT_EQ(st->pop(1), 11u);
-  EXPECT_EQ(st->pop(0), std::nullopt);
+  auto a = st->session();
+  auto b = st->session();
+  EXPECT_TRUE(a.push(11));
+  EXPECT_TRUE(b.push(22));
+  EXPECT_EQ(a.pop(), 22u);
+  EXPECT_EQ(b.pop(), 11u);
+  EXPECT_EQ(a.pop(), std::nullopt);
 }
 
 TEST(AnyStack, TeardownWithResidentElementsDoesNotLeak) {

@@ -10,7 +10,7 @@
 //    node would additionally be reported by ASan/LSan at domain teardown);
 //  * the thread-local re-join fast path keeps a single-thread join/leave
 //    loop on one record;
-//  * the deprecated tid shim and dynamic sessions compose on one domain.
+//  * handles held at the same time never alias.
 //
 // The AnyMap section drives the same lifecycle through the type-erased
 // Session surface with (scaled) thousands of short-lived threads per scheme.
@@ -18,7 +18,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -92,26 +91,23 @@ TYPED_TEST(HandleChurnTest, RejoinFastPathReusesRecord) {
   EXPECT_EQ(dom.active_handles(), 0u);
 }
 
-// The deprecated tid shim pins records; sessions opened alongside it get
-// fresh ones and the two surfaces never hand out the same handle at the
-// same time.
-TYPED_TEST(HandleChurnTest, ShimAndSessionsCompose) {
+// Handles held at the same time by one thread get distinct records, and
+// the active gauge counts exactly the handles currently joined.
+TYPED_TEST(HandleChurnTest, HeldHandlesNeverAlias) {
   using Smr = TypeParam;
   Smr dom(small_config(4));
-  auto& pinned0 = dom.handle(0);
-  auto& pinned1 = dom.handle(1);
-  EXPECT_NE(&pinned0, &pinned1);
-  EXPECT_EQ(&dom.handle(0), &pinned0);  // idempotent
+  auto a = scoped_handle(dom);
+  auto b = scoped_handle(dom);
+  EXPECT_NE(&*a, &*b);
   EXPECT_EQ(dom.active_handles(), 2u);
 
   {
-    auto h = scoped_handle(dom);
-    EXPECT_NE(&*h, &pinned0);
-    EXPECT_NE(&*h, &pinned1);
+    auto c = scoped_handle(dom);
+    EXPECT_NE(&*c, &*a);
+    EXPECT_NE(&*c, &*b);
     EXPECT_EQ(dom.active_handles(), 3u);
   }
   EXPECT_EQ(dom.active_handles(), 2u);
-  EXPECT_THROW(dom.handle(4), std::out_of_range);  // fixed-capacity surface
 }
 
 // Donation is observable: a reader protecting a node keeps the departing
@@ -168,7 +164,7 @@ TEST(AnyMapSessionChurnTest, ThousandsOfSessions) {
     auto map = AnyMap::make(scheme, StructureId::kHMList, options);
     ASSERT_TRUE(map.has_value());
 
-    // The structure constructor may pin an anchor handle via the shim.
+    // Baseline: whatever the structure constructor left joined.
     const unsigned base_active = map->active_handles();
     const std::size_t base_records = map->total_handle_records();
 

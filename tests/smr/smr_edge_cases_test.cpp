@@ -3,6 +3,7 @@
 // operations, retire ordering, and adversarial protect/scan interleavings.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 
@@ -100,7 +101,8 @@ TEST(HpEdge, SlotsClearAfterOp) {
 TEST(HpEdge, ProtectTracksSourceChanges) {
   // The validation loop must re-publish when the source field moves.
   HpDomain smr(test::small_config(2));
-  auto& h = smr.handle(0);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
   auto* a = h.template alloc<TestNode>(std::uint64_t{1});
   auto* b = h.template alloc<TestNode>(std::uint64_t{2});
   std::atomic<ReclaimNode*> src{a};
@@ -109,10 +111,26 @@ TEST(HpEdge, ProtectTracksSourceChanges) {
   src.store(b);
   EXPECT_EQ(h.protect(src, 1), b);
   // Slot 1 must hold b, not a.
-  EXPECT_EQ(smr.slot(0, 1).load(), static_cast<ReclaimNode*>(b));
+  std::vector<ReclaimNode*> hazards;
+  smr.collect_hazards(hazards);
+  ASSERT_EQ(hazards.size(), 2u);
+  EXPECT_EQ(hazards[1], static_cast<ReclaimNode*>(b));
   h.end_op();
   h.dealloc_unpublished(a);
   h.dealloc_unpublished(b);
+}
+
+// Slot schemes track used slots in a 32-bit mask, so every domain refuses a
+// slot count outside [1, 32] at construction.
+TEST(SlotConfig, DomainRejectsSlotCountsOutsideOneTo32) {
+  auto cfg = test::small_config(2);
+  cfg.slots_per_thread = 33;
+  EXPECT_THROW(HpDomain{cfg}, std::invalid_argument);
+  EXPECT_THROW(HeDomain{cfg}, std::invalid_argument);
+  cfg.slots_per_thread = 0;
+  EXPECT_THROW(HpDomain{cfg}, std::invalid_argument);
+  cfg.slots_per_thread = 32;
+  EXPECT_NO_THROW(HpDomain{cfg});
 }
 
 TEST(IbrEdge, UpperBoundWidensDuringOperation) {
