@@ -9,6 +9,10 @@
 // claim/release reuse — counts are cumulative domain telemetry, exactly like
 // the `ds_restarts` fields they sit next to.
 //
+// The cells are telemetry only: the retire/free counts behind the pending
+// gauge live on the handles (HandleCore), because a library decision reads
+// them.
+//
 // Memory-ordering contract (DESIGN.md §8):
 //  * every counter is a relaxed atomic with a single-writer discipline —
 //    the owning thread bumps it with a load+store pair, which compiles to an
@@ -44,15 +48,13 @@ namespace scot::obs {
 enum class Counter : unsigned {
   kJoins = 0,         // domain join()s (session starts)
   kLeaves,            // domain leave()s
-  kRetires,           // retire() calls
   kScans,             // reclamation attempts (limbo scans / batch seals)
-  kNodesReclaimed,    // nodes actually freed by scans
   kHeavyBarriers,     // process-wide heavy barriers issued (asym path)
   kEraAdvances,       // global era/epoch clock ticks by this handle
   kOrphanDonations,   // leave() handoffs into the orphan mailbox
   kOrphanAdoptions,   // retire()-side adoptions out of the mailbox
   kBgRounds,          // background-reclaimer rounds (service thread only)
-  kBgBatchesAdopted,  // donated limbo/batch chains the reclaimer consumed
+  kBgBatchesDonated,  // full limbo/batch chains handed to the reclaimer
   kBgAdaptations,     // adaptive threshold changes (DESIGN.md §9)
   kCount_
 };
@@ -63,15 +65,13 @@ inline constexpr const char* counter_name(Counter c) noexcept {
   switch (c) {
     case Counter::kJoins: return "joins";
     case Counter::kLeaves: return "leaves";
-    case Counter::kRetires: return "retires";
     case Counter::kScans: return "scans";
-    case Counter::kNodesReclaimed: return "nodes_reclaimed";
     case Counter::kHeavyBarriers: return "heavy_barriers";
     case Counter::kEraAdvances: return "era_advances";
     case Counter::kOrphanDonations: return "orphan_donations";
     case Counter::kOrphanAdoptions: return "orphan_adoptions";
     case Counter::kBgRounds: return "bg_rounds";
-    case Counter::kBgBatchesAdopted: return "bg_batches_adopted";
+    case Counter::kBgBatchesDonated: return "bg_batches_donated";
     case Counter::kBgAdaptations: return "bg_adaptations";
     case Counter::kCount_: break;
   }
@@ -89,27 +89,27 @@ struct alignas(kFalseSharingRange) StatsCell {
   std::atomic<StatsCell*> next{nullptr};
 };
 
-// Aggregated view of a domain's cells plus the SmrCounters gauges.  Always
-// defined (zeroed when stats are compiled out or runtime-disabled) so caller
-// code needs no conditional compilation.
+// Aggregated view of a domain's cells plus its retire/free totals.  Always
+// defined so caller code needs no conditional compilation: the cell fields
+// read 0 when stats are compiled out or runtime-disabled, while `pending`,
+// `retired_total` and `reclaimed_total` are summed from the handles and
+// stay live either way.
 struct StatsSnapshot {
   bool enabled = false;
   std::uint64_t joins = 0;
   std::uint64_t leaves = 0;
-  std::uint64_t retires = 0;
   std::uint64_t scans = 0;
-  std::uint64_t nodes_reclaimed = 0;
   std::uint64_t heavy_barriers = 0;
   std::uint64_t era_advances = 0;
   std::uint64_t orphan_donations = 0;
   std::uint64_t orphan_adoptions = 0;
   std::uint64_t bg_rounds = 0;
-  std::uint64_t bg_batches_adopted = 0;
+  std::uint64_t bg_batches_donated = 0;
   std::uint64_t bg_adaptations = 0;
-  std::uint64_t limbo_peak = 0;     // max across cells
-  std::int64_t pending = 0;         // domain-wide gauge (SmrCounters)
-  std::uint64_t retired_total = 0;  // SmrCounters::retired
-  std::uint64_t reclaimed_total = 0;
+  std::uint64_t limbo_peak = 0;       // max across cells
+  std::int64_t pending = 0;           // retired_total - reclaimed_total
+  std::uint64_t retired_total = 0;    // sum of HandleCore::retired
+  std::uint64_t reclaimed_total = 0;  // sum of HandleCore::reclaimed
   std::uint64_t scan_count = 0;
   double scan_p50_ns = 0;
   double scan_p99_ns = 0;
@@ -125,15 +125,13 @@ struct StatsSnapshot {
     enabled = enabled || o.enabled;
     joins += o.joins;
     leaves += o.leaves;
-    retires += o.retires;
     scans += o.scans;
-    nodes_reclaimed += o.nodes_reclaimed;
     heavy_barriers += o.heavy_barriers;
     era_advances += o.era_advances;
     orphan_donations += o.orphan_donations;
     orphan_adoptions += o.orphan_adoptions;
     bg_rounds += o.bg_rounds;
-    bg_batches_adopted += o.bg_batches_adopted;
+    bg_batches_donated += o.bg_batches_donated;
     bg_adaptations += o.bg_adaptations;
     limbo_peak = limbo_peak > o.limbo_peak ? limbo_peak : o.limbo_peak;
     pending += o.pending;
@@ -150,15 +148,13 @@ struct StatsSnapshot {
     switch (c) {
       case Counter::kJoins: return joins;
       case Counter::kLeaves: return leaves;
-      case Counter::kRetires: return retires;
       case Counter::kScans: return scans;
-      case Counter::kNodesReclaimed: return nodes_reclaimed;
       case Counter::kHeavyBarriers: return heavy_barriers;
       case Counter::kEraAdvances: return era_advances;
       case Counter::kOrphanDonations: return orphan_donations;
       case Counter::kOrphanAdoptions: return orphan_adoptions;
       case Counter::kBgRounds: return bg_rounds;
-      case Counter::kBgBatchesAdopted: return bg_batches_adopted;
+      case Counter::kBgBatchesDonated: return bg_batches_donated;
       case Counter::kBgAdaptations: return bg_adaptations;
       case Counter::kCount_: break;
     }
@@ -224,7 +220,7 @@ class DomainStats {
   }
 
   // Aggregate-on-read: sums (and max-merges) every cell.  Fills only the
-  // cell-derived fields; the owning domain adds its SmrCounters gauges.
+  // cell-derived fields; the owning domain adds its retire/free totals.
   StatsSnapshot snapshot() const {
     StatsSnapshot s;
     LatencyHistogram scans;
@@ -232,15 +228,13 @@ class DomainStats {
          c != nullptr; c = c->next.load(std::memory_order_acquire)) {
       s.joins += load(c, Counter::kJoins);
       s.leaves += load(c, Counter::kLeaves);
-      s.retires += load(c, Counter::kRetires);
       s.scans += load(c, Counter::kScans);
-      s.nodes_reclaimed += load(c, Counter::kNodesReclaimed);
       s.heavy_barriers += load(c, Counter::kHeavyBarriers);
       s.era_advances += load(c, Counter::kEraAdvances);
       s.orphan_donations += load(c, Counter::kOrphanDonations);
       s.orphan_adoptions += load(c, Counter::kOrphanAdoptions);
       s.bg_rounds += load(c, Counter::kBgRounds);
-      s.bg_batches_adopted += load(c, Counter::kBgBatchesAdopted);
+      s.bg_batches_donated += load(c, Counter::kBgBatchesDonated);
       s.bg_adaptations += load(c, Counter::kBgAdaptations);
       const std::uint64_t peak =
           c->limbo_peak.load(std::memory_order_relaxed);
@@ -290,8 +284,8 @@ inline void peak(StatsCell* c, std::uint64_t v) noexcept {
 }
 
 // Scan-latency bracket: scan_begin() reads the clock only when the cell is
-// live (0 otherwise), scan_end() records the elapsed time and the scan
-// counters in one step.
+// live (0 otherwise), scan_end() records the elapsed time and counts the
+// scan in one step.
 inline std::uint64_t scan_begin(const StatsCell* c) noexcept {
 #if SCOT_STATS
   if (c != nullptr) return now_ns();
@@ -301,18 +295,15 @@ inline std::uint64_t scan_begin(const StatsCell* c) noexcept {
   return 0;
 }
 
-inline void scan_end(StatsCell* c, std::uint64_t t0,
-                     std::uint64_t freed) noexcept {
+inline void scan_end(StatsCell* c, std::uint64_t t0) noexcept {
 #if SCOT_STATS
   if (c != nullptr) {
     count(c, Counter::kScans);
-    if (freed > 0) count(c, Counter::kNodesReclaimed, freed);
     c->scan_ns.record(now_ns() - t0);
   }
 #else
   (void)c;
   (void)t0;
-  (void)freed;
 #endif
 }
 

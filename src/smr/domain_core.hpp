@@ -5,8 +5,8 @@
 // Handle>, and its per-thread Handle deriving from HandleCore (or from
 // LimboHandle for the limbo-list schemes; smr/handle_core.hpp).  The core
 // owns membership (the handle registry, join/leave), the node pool, the
-// era clock, the fence discipline, the domain-wide counters and telemetry,
-// and the background reclaimer's lifecycle.  The scheme keeps its
+// era clock, the fence discipline, the sums of the per-handle counts and
+// telemetry, and the background reclaimer's lifecycle.  The scheme keeps its
 // reservation state and protocol — begin_op/end_op/protect/publish/dup,
 // retire, scan or seal_batch — plus two handle hooks the core calls
 // statically:
@@ -108,10 +108,6 @@ class DomainCore {
   // an inert surface: start/stop are accepted and ignored.
   ReclaimControl& reclaim_control() noexcept { return bg_; }
   bool background_active() const noexcept { return bg_.is_active(); }
-  BgReclaimStats background_stats() const noexcept { return bg_stats_of(bg_); }
-  bool counts_heavy_barrier_per_reclaim() const noexcept {
-    return fence_path_ != asymfence::Path::kClassic;
-  }
 
   // Launches the service thread (no-op when already running).  Not
   // thread-safe against a concurrent start/stop — one controller thread,
@@ -144,10 +140,13 @@ class DomainCore {
 
   const SmrConfig& config() const noexcept { return cfg_; }
   NodePool& pool() noexcept { return pool_; }
+  // Retired-but-not-yet-freed nodes (Figures 10-12), summed from the
+  // per-handle counts; never negative, exact when quiescent.
   std::int64_t pending_nodes() const noexcept {
-    return counters_.pending.load(std::memory_order_relaxed);
+    obs::StatsSnapshot s;
+    read_totals(s);
+    return s.pending;
   }
-  const SmrCounters& counters() const noexcept { return counters_; }
   asymfence::Path fence_path() const noexcept { return fence_path_; }
 
   // Observability (DESIGN.md §8): the per-handle cell list and the
@@ -156,9 +155,7 @@ class DomainCore {
   obs::StatsSnapshot stats() const {
     obs::StatsSnapshot s = stats_obs_.snapshot();
     s.enabled = SCOT_STATS != 0 && cfg_.track_stats;
-    s.pending = pending_nodes();
-    s.retired_total = counters_.retired.load(std::memory_order_relaxed);
-    s.reclaimed_total = counters_.reclaimed.load(std::memory_order_relaxed);
+    read_totals(s);
     return s;
   }
 
@@ -179,10 +176,6 @@ class DomainCore {
   RetireMailbox orphans_;  // leave() donations, adopted by the next retirer
   ReclaimControl bg_;
   std::unique_ptr<DomainReclaimer<Derived>> reclaimer_;
-  // Written by every retire and scan, so it gets a false-sharing range of
-  // its own at the end of the object, away from everything the protect,
-  // begin_op and retire paths read.
-  alignas(kFalseSharingRange) SmrCounters counters_;
 
  private:
   // The handle layers reach the shared state above directly.
@@ -204,34 +197,45 @@ class DomainCore {
 
   Derived& derived() noexcept { return static_cast<Derived&>(*this); }
 
+  static std::uint64_t load(std::uint64_t v) noexcept { return v; }
+  static std::uint64_t load(const std::atomic<std::uint64_t>& c) noexcept {
+    return c.load(std::memory_order_acquire);
+  }
+
   template <class Field>
   std::uint64_t sum_records(Field field) const noexcept {
     std::uint64_t n = 0;
     for (const auto* r = registry_.head(); r != nullptr; r = r->next_record())
-      n += r->handle.*field;
+      n += load(r->handle.*field);
     return n;
   }
 
-  std::uint64_t free_chain(ReclaimNode* n, unsigned shard) noexcept {
-    std::uint64_t freed = 0;
+  // The one read of the retire/free counts (DESIGN.md §8).  Every free is
+  // published (release) after the retire of the same node, so summing
+  // `reclaimed` with acquire loads BEFORE summing `retired` counts at least
+  // the retire of every free it saw: pending never reads negative.
+  void read_totals(obs::StatsSnapshot& s) const noexcept {
+    s.reclaimed_total = sum_records(&Handle::reclaimed);
+    s.retired_total = sum_records(&Handle::retired);
+    s.pending = static_cast<std::int64_t>(s.retired_total - s.reclaimed_total);
+  }
+
+  void free_chain(ReclaimNode* n, unsigned shard) noexcept {
     while (n != nullptr) {
       ReclaimNode* next = n->smr_next;
       pool_.free(shard, n, n->alloc_size);
-      ++freed;
       n = next;
     }
-    return freed;
   }
 
   // Destructor-time cleanup: no threads are active, free everything —
-  // every record's private chain plus both mailboxes.
+  // every record's private chain plus both mailboxes.  Uncounted: nothing
+  // reads the totals of a dying domain.
   void drain_all() {
-    std::uint64_t freed = 0;
     for (auto* r = registry_.head(); r != nullptr; r = r->next_record())
-      freed += free_chain(r->handle.take_retired(), r->index);
-    freed += free_chain(orphans_.take_all(), 0);
-    freed += free_chain(bg_.mailbox.take_all(), 0);
-    counters_.on_free(freed, cfg_.track_stats);
+      free_chain(r->handle.take_retired(), r->index);
+    free_chain(orphans_.take_all(), 0);
+    free_chain(bg_.mailbox.take_all(), 0);
   }
 };
 

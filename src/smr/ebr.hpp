@@ -99,25 +99,11 @@ class EbrHandle : public LimboHandle<EbrDomain, EbrHandle> {
     // reservations; a reservation the barrier does not surface belongs
     // to a thread whose first shared load is ordered after every unlink
     // in this batch (DESIGN.md §5, activation case).
-    if (dom_->fence_path_ != asymfence::Path::kClassic) {
-      asymfence::heavy_barrier(dom_->fence_path_);
-      obs::count(stats_, obs::Counter::kHeavyBarriers);
-    }
+    scan_barrier();
     const std::uint64_t min_res = dom_->min_reservation();
-    ReclaimNode* n = limbo_.take();
-    std::uint64_t freed = 0;
-    while (n != nullptr) {
-      ReclaimNode* next = n->smr_next;
-      if (n->retire_era < min_res) {
-        dom_->pool().free(tid_, n, n->alloc_size);
-        ++freed;
-      } else {
-        limbo_.push(n);
-      }
-      n = next;
-    }
-    dom_->counters_.on_free(freed, dom_->cfg_.track_stats);
-    obs::scan_end(stats_, stats_t0, freed);
+    free_unreserved(
+        [&](const ReclaimNode* n) { return n->retire_era >= min_res; });
+    obs::scan_end(stats_, stats_t0);
   }
 
   // DomainCore hook: the reservation must be idle.

@@ -5,19 +5,22 @@
 // a joined handle must only ever be used by one thread at a time.
 //
 //  * `HandleCore` — what every handle has: allocation, typed retirement,
-//    the Table 2 counters, the obs cell, the era tick, and no-op defaults
-//    for the DomainCore hooks (smr/domain_core.hpp).
+//    the Table 2 counters, the retire/free counts behind the pending gauge,
+//    the obs cell, the era tick, the scan barrier, and no-op defaults for
+//    the DomainCore hooks (smr/domain_core.hpp).
 //  * `LimboHandle` — the shared half of the four limbo-list schemes (EBR,
 //    HP/HPopt, HE, IBR): the private limbo list, the whole retire path up to
 //    the threshold "donate or scan" decision, mailbox adoption, and the
 //    background-reclaimer and leave()/teardown hooks.
 #pragma once
 
+#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <type_traits>
 #include <utility>
 
+#include "common/asymfence.hpp"
 #include "obs/stats.hpp"
 #include "obs/trace.hpp"
 #include "smr/guard.hpp"
@@ -192,6 +195,22 @@ class HandleCore {
  protected:
   Derived* derived() noexcept { return static_cast<Derived*>(this); }
 
+  // Bumps `retired`/`reclaimed` with a load+store pair, like obs::count.
+  // The release pairs with DomainCore::read_totals()' acquire: a reader
+  // that sees a free also sees the retire that preceded it.
+  static void bump(std::atomic<std::uint64_t>& c, std::uint64_t n) noexcept {
+    c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_release);
+  }
+
+  // The one process-wide heavy barrier a scan or batch seal issues before
+  // reading the reservations (asymmetric path only; DESIGN.md §5).
+  void scan_barrier() noexcept {
+    if (dom_->fence_path_ != asymfence::Path::kClassic) {
+      asymfence::heavy_barrier(dom_->fence_path_);
+      obs::count(stats_, obs::Counter::kHeavyBarriers);
+    }
+  }
+
   // Advances the domain's era clock once per `era_freq` calls on this
   // handle (allocations and/or retirements, per scheme).
   void era_tick() noexcept {
@@ -205,6 +224,16 @@ class HandleCore {
   Domain* dom_;
   unsigned tid_;
   unsigned tick_ = 0;
+
+ public:
+  // --- retire/free counts (DESIGN.md §8) ------------------------------------
+  // The only count of retired and freed nodes, summed by DomainCore into
+  // pending_nodes() and the snapshot totals.  Never gated (the adaptive
+  // controller reads them); single-writer; cumulative across record reuse.
+  // Last, so they share the line the retire path already writes (tick_,
+  // the limbo list) and leave the registry links' line read-mostly.
+  std::atomic<std::uint64_t> retired{0};
+  std::atomic<std::uint64_t> reclaimed{0};
 };
 
 // Derived provides scan() (free every limbo node no reservation covers) and
@@ -231,8 +260,7 @@ class LimboHandle : public HandleCore<Domain, Derived> {
       obs::count(stats_, obs::Counter::kOrphanAdoptions);
       obs::trace_instant(obs::TraceKind::kAdopt);
     }
-    dom_->counters_.on_retire(dom_->cfg_.track_stats);
-    obs::count(stats_, obs::Counter::kRetires);
+    this->bump(this->retired, 1);
     obs::peak(stats_, limbo_.count);
     if constexpr (Derived::kRetireEras) this->era_tick();
     if (limbo_.count >= dom_->bg_.effective_scan_threshold()) {
@@ -243,6 +271,7 @@ class LimboHandle : public HandleCore<Domain, Derived> {
         // barrier for the entire adopted backlog.
         donate_limbo(limbo_, dom_->bg_.mailbox);
         dom_->bg_.thread.ring();
+        obs::count(stats_, obs::Counter::kBgBatchesDonated);
       } else {
         this->derived()->scan();
       }
@@ -251,7 +280,7 @@ class LimboHandle : public HandleCore<Domain, Derived> {
 
   // --- background-reclaimer hooks (service thread only; DESIGN.md §9) ---
   // Adopt every donated chain into this handle's limbo list.
-  unsigned bg_collect() { return adopt_all_mailboxes(); }
+  void bg_collect() { adopt_all_mailboxes(); }
   // Run the shared scan (one heavy barrier) if there is a backlog.
   bool bg_reclaim() {
     if (limbo_.count == 0) return false;
@@ -289,6 +318,25 @@ class LimboHandle : public HandleCore<Domain, Derived> {
     if (!dom_->bg_.mailbox.empty())
       adopted += adopt_orphans(dom_->bg_.mailbox, limbo_);
     return adopted;
+  }
+
+  // The shared body of every limbo scan: frees each node `reserved` does
+  // not cover, keeps the rest, and counts the frees.
+  template <class Reserved>
+  void free_unreserved(Reserved&& reserved) {
+    ReclaimNode* n = limbo_.take();
+    std::uint64_t freed = 0;
+    while (n != nullptr) {
+      ReclaimNode* next = n->smr_next;
+      if (reserved(n)) {
+        limbo_.push(n);
+      } else {
+        dom_->pool().free(this->tid_, n, n->alloc_size);
+        ++freed;
+      }
+      n = next;
+    }
+    this->bump(this->reclaimed, freed);
   }
 
   LimboList limbo_;

@@ -265,8 +265,9 @@ template <class Domain>
 // take_all() transfers everything to exactly one consumer.  The release/
 // acquire pair carries the node contents: a consumer that observes a chain
 // observes every write the donor made to its nodes before donating.  Nodes
-// parked here are still accounted in the domain's pending gauge — donation
-// moves custody, not statistics.
+// parked here stay in the pending gauge: their retire was counted on the
+// retirer's handle and their free will be counted on whichever handle frees
+// them — donation moves custody, and counts nothing.
 class RetireMailbox {
  public:
   RetireMailbox() = default;
@@ -286,7 +287,6 @@ class RetireMailbox {
       last->smr_next = h;
     } while (!head_.compare_exchange_weak(h, first, std::memory_order_release,
                                           std::memory_order_relaxed));
-    donations_.fetch_add(1, std::memory_order_relaxed);
   }
 
   // Adopts everything donated so far; returns the chain head (nullptr if
@@ -295,15 +295,8 @@ class RetireMailbox {
     return head_.exchange(nullptr, std::memory_order_acquire);
   }
 
-  // Cumulative donate() count (telemetry: the reclaimer's batches-adopted
-  // stat; approximate while donors run).
-  std::uint64_t donations() const noexcept {
-    return donations_.load(std::memory_order_relaxed);
-  }
-
  private:
   std::atomic<ReclaimNode*> head_{nullptr};
-  std::atomic<std::uint64_t> donations_{0};
 };
 
 }  // namespace scot

@@ -147,29 +147,16 @@ class HeHandle : public LimboHandle<HeDomain, HeHandle> {
     // validating re-read is ordered after every unlink in this batch.
     // The registry head is read after the barrier, so the same argument
     // covers records of late-joining threads (DESIGN.md §7).
-    if (dom_->fence_path_ != asymfence::Path::kClassic) {
-      asymfence::heavy_barrier(dom_->fence_path_);
-      obs::count(stats_, obs::Counter::kHeavyBarriers);
-    }
+    scan_barrier();
     // Reservation snapshot (sorted) — one pass over the live registry
     // per scan instead of one per retired node.
     snapshot_.clear();
     dom_->collect_eras(snapshot_);
     std::sort(snapshot_.begin(), snapshot_.end());
-    std::uint64_t freed = 0;
-    ReclaimNode* n = limbo_.take();
-    while (n != nullptr) {
-      ReclaimNode* next = n->smr_next;
-      if (lifetime_reserved(birth_era_of(n), n->retire_era)) {
-        limbo_.push(n);
-      } else {
-        dom_->pool().free(tid_, n, n->alloc_size);
-        ++freed;
-      }
-      n = next;
-    }
-    dom_->counters_.on_free(freed, dom_->cfg_.track_stats);
-    obs::scan_end(stats_, stats_t0, freed);
+    free_unreserved([&](ReclaimNode* n) {
+      return lifetime_reserved(birth_era_of(n), n->retire_era);
+    });
+    obs::scan_end(stats_, stats_t0);
   }
 
   // DomainCore hook: clears the era slots before the final scan.

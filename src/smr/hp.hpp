@@ -184,41 +184,19 @@ class HpHandle
     // validating re-read that is ordered after the unlink and retries.
     // The registry head is read after the barrier, so the same argument
     // covers records of late-joining threads (DESIGN.md §7).
-    if (dom_->fence_path_ != asymfence::Path::kClassic) {
-      asymfence::heavy_barrier(dom_->fence_path_);
-      obs::count(stats_, obs::Counter::kHeavyBarriers);
-    }
-    std::uint64_t freed = 0;
+    this->scan_barrier();
     if constexpr (kSnapshotScan) {
       snapshot_.clear();
       dom_->collect_hazards(snapshot_);
       std::sort(snapshot_.begin(), snapshot_.end());
-      ReclaimNode* n = limbo_.take();
-      while (n != nullptr) {
-        ReclaimNode* next = n->smr_next;
-        if (std::binary_search(snapshot_.begin(), snapshot_.end(), n)) {
-          limbo_.push(n);
-        } else {
-          dom_->pool().free(tid_, n, n->alloc_size);
-          ++freed;
-        }
-        n = next;
-      }
+      this->free_unreserved([&](ReclaimNode* n) {
+        return std::binary_search(snapshot_.begin(), snapshot_.end(), n);
+      });
     } else {
-      ReclaimNode* n = limbo_.take();
-      while (n != nullptr) {
-        ReclaimNode* next = n->smr_next;
-        if (dom_->is_hazard(n)) {
-          limbo_.push(n);
-        } else {
-          dom_->pool().free(tid_, n, n->alloc_size);
-          ++freed;
-        }
-        n = next;
-      }
+      this->free_unreserved(
+          [&](const ReclaimNode* n) { return dom_->is_hazard(n); });
     }
-    dom_->counters_.on_free(freed, dom_->cfg_.track_stats);
-    obs::scan_end(stats_, stats_t0, freed);
+    obs::scan_end(stats_, stats_t0);
   }
 
   // DomainCore hook: clears the hazard slots before the final scan.

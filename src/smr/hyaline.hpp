@@ -145,8 +145,7 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
       obs::count(stats_, obs::Counter::kOrphanAdoptions);
       obs::trace_instant(obs::TraceKind::kAdopt);
     }
-    dom_->counters_.on_retire(dom_->cfg_.track_stats);
-    obs::count(stats_, obs::Counter::kRetires);
+    bump(retired, 1);
     obs::peak(stats_, batch_count_);
     era_tick();
     if (batch_count_ >= required_batch()) {
@@ -156,6 +155,7 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
         // barrier) off the operation path.
         donate_batch(dom_->bg_.mailbox);
         dom_->bg_.thread.ring();
+        obs::count(stats_, obs::Counter::kBgBatchesDonated);
       } else {
         seal_batch();
       }
@@ -172,7 +172,7 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
   std::uint64_t reservation_era() const noexcept { return era_local_; }
 
   // --- background-reclaimer hooks (service thread only; DESIGN.md §9) ---
-  unsigned bg_collect() { return adopt_all_mailboxes(); }
+  void bg_collect() { adopt_all_mailboxes(); }
   // Seals only when the spliced batch has enough member nodes for every
   // registry record; a short batch keeps accumulating until the next
   // round's adoptions top it up.
@@ -286,10 +286,7 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
     // the barrier does not surface belongs to a thread whose shared
     // loads are all ordered after those unlinks — it cannot reach any
     // node of this batch, and skipping its slot is safe (DESIGN.md §5).
-    if (dom_->fence_path_ != asymfence::Path::kClassic) {
-      asymfence::heavy_barrier(dom_->fence_path_);
-      obs::count(stats_, obs::Counter::kHeavyBarriers);
-    }
+    scan_barrier();
     // Snapshot the registry AFTER the barrier.  Records pushed after
     // this read are skippable by the same argument as an un-surfaced
     // activation; records in the snapshot cover every thread that could
@@ -302,7 +299,7 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
       // not enough member nodes to give every slot a distinct entry.
       // Keep accumulating; the next retire re-checks against the larger
       // required_batch().
-      obs::scan_end(stats_, stats_t0, 0);
+      obs::scan_end(stats_, stats_t0);
       return;
     }
     auto* bh = new BatchHandle;
@@ -337,7 +334,7 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
       }
     }
     reset_batch();
-    obs::scan_end(stats_, stats_t0, 0);
+    obs::scan_end(stats_, stats_t0);
     adjust(bh, inserted - kGuard);
   }
 
@@ -366,10 +363,9 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
       n = next;
     }
     assert(freed == bh->count);
-    dom_->counters_.on_free(freed, dom_->cfg_.track_stats);
     // Charged to the handle that dropped the last reference ("reclamation
     // by any thread"), which is always the calling thread — single-writer.
-    obs::count(stats_, obs::Counter::kNodesReclaimed, freed);
+    bump(reclaimed, freed);
     delete bh;
   }
 

@@ -129,26 +129,13 @@ class IbrHandle : public LimboHandle<IbrDomain, IbrHandle> {
     // Heavy barrier before the snapshot; the registry head is read after
     // it, so records of late-joining threads are covered by the same
     // argument (DESIGN.md §7).
-    if (dom_->fence_path_ != asymfence::Path::kClassic) {
-      asymfence::heavy_barrier(dom_->fence_path_);
-      obs::count(stats_, obs::Counter::kHeavyBarriers);
-    }
+    scan_barrier();
     snapshot_.clear();
     dom_->collect_intervals(snapshot_);
-    std::uint64_t freed = 0;
-    ReclaimNode* n = limbo_.take();
-    while (n != nullptr) {
-      ReclaimNode* next = n->smr_next;
-      if (lifetime_reserved(birth_era_of(n), n->retire_era)) {
-        limbo_.push(n);
-      } else {
-        dom_->pool().free(tid_, n, n->alloc_size);
-        ++freed;
-      }
-      n = next;
-    }
-    dom_->counters_.on_free(freed, dom_->cfg_.track_stats);
-    obs::scan_end(stats_, stats_t0, freed);
+    free_unreserved([&](ReclaimNode* n) {
+      return lifetime_reserved(birth_era_of(n), n->retire_era);
+    });
+    obs::scan_end(stats_, stats_t0);
   }
 
   // DomainCore hook: the interval must be idle.

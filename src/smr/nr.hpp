@@ -12,9 +12,6 @@
 // inert background surface because its handle offers no bg_* hooks.
 #pragma once
 
-#include <cstdint>
-
-#include "obs/stats.hpp"
 #include "smr/domain_core.hpp"
 
 namespace scot {
@@ -52,8 +49,7 @@ class NrHandle : public HandleCore<NoReclaimDomain, NrHandle> {
 
   void retire(ReclaimNode* n) noexcept {
     n->debug_state = kNodeRetired;
-    dom_->counters_.on_retire(dom_->cfg_.track_stats);
-    obs::count(stats_, obs::Counter::kRetires);
+    bump(retired, 1);
   }
 };
 

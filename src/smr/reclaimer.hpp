@@ -102,9 +102,9 @@ class ReclaimerThreadBase {
 };
 
 // Per-domain shared state for the background path, embedded by value in
-// DomainCore.  Mutators touch only `mailbox`, the three effective
-// knobs and the doorbell; the telemetry block is single-writer (the service
-// thread) / racy-read (background_stats()).
+// DomainCore.  Mutators touch only `mailbox`, the three effective knobs and
+// the doorbell.  The service thread's telemetry (rounds, adaptations, scans,
+// heavy barriers) lives in its own handle's obs cell, like every handle's.
 struct ReclaimControl {
   RetireMailbox mailbox;
 
@@ -121,13 +121,6 @@ struct ReclaimControl {
 
   ReclaimerThreadBase thread;
 
-  // Telemetry (service-thread-written; see BgReclaimStats).
-  std::atomic<std::uint64_t> rounds{0};
-  std::atomic<std::uint64_t> scans{0};
-  std::atomic<std::uint64_t> heavy_barriers{0};
-  std::atomic<std::uint64_t> nodes_adopted{0};
-  std::atomic<std::uint64_t> adaptations{0};
-
   bool is_active() const noexcept {
     return active.load(std::memory_order_relaxed);
   }
@@ -139,46 +132,15 @@ struct ReclaimControl {
   }
 };
 
-// Snapshot of a domain's background-reclaim telemetry, readable whether or
-// not the reclaimer is (still) running.  `heavy_barriers` is the round-side
-// attribution count the zero-mutator-barrier acceptance test keys on: with
-// background reclaim on it must equal the domain-wide obs heavy_barriers
-// aggregate.
-struct BgReclaimStats {
-  bool active = false;
-  unsigned effective_scan_threshold = 0;
-  unsigned effective_era_freq = 0;
-  std::uint64_t rounds = 0;
-  std::uint64_t scans = 0;
-  std::uint64_t heavy_barriers = 0;
-  std::uint64_t batches_donated = 0;  // mailbox donate() count (mutator side)
-  std::uint64_t nodes_adopted = 0;
-  std::uint64_t adaptations = 0;
-};
-
-inline BgReclaimStats bg_stats_of(const ReclaimControl& c) noexcept {
-  BgReclaimStats s;
-  s.active = c.active.load(std::memory_order_relaxed);
-  s.effective_scan_threshold = c.effective_scan_threshold();
-  s.effective_era_freq = c.effective_era_freq();
-  s.rounds = c.rounds.load(std::memory_order_relaxed);
-  s.scans = c.scans.load(std::memory_order_relaxed);
-  s.heavy_barriers = c.heavy_barriers.load(std::memory_order_relaxed);
-  s.batches_donated = c.mailbox.donations();
-  s.nodes_adopted = c.nodes_adopted.load(std::memory_order_relaxed);
-  s.adaptations = c.adaptations.load(std::memory_order_relaxed);
-  return s;
-}
-
 // A handle the service thread can drive: the two background hooks.
-//   bg_collect()  -> unsigned  adopt mailbox + orphans into own limbo/batch
-//   bg_reclaim()  -> bool      run the shared scan/seal entry point if there
-//                              is anything to reclaim; true if it ran
+//   bg_collect()            adopt mailbox + orphans into own limbo/batch
+//   bg_reclaim()  -> bool   run the shared scan/seal entry point if there
+//                           is anything to reclaim; true if it ran
 // NR's handle has neither (it never reclaims), so its domain keeps an inert
 // background surface.
 template <class Handle>
 concept BackgroundReclaimable = requires(Handle& h) {
-  { h.bg_collect() } -> std::convertible_to<unsigned>;
+  h.bg_collect();
   { h.bg_reclaim() } -> std::convertible_to<bool>;
 };
 
@@ -202,33 +164,14 @@ class DomainReclaimer {
   // One service round: adopt the backlog, reclaim it behind a single heavy
   // barrier, retune the thresholds.  Runs on the service thread only.
   void round() {
-    ReclaimControl& c = dom_.reclaim_control();
-    const std::uint64_t donations_before = c.mailbox.donations();
-    const unsigned adopted = h_->bg_collect();
-    const bool reclaimed = h_->bg_reclaim();
-
-    bump(c.rounds, 1);
-    obs::count(h_->stats_, obs::Counter::kBgRounds);
-    if (adopted > 0) {
-      bump(c.nodes_adopted, adopted);
-      const std::uint64_t batches =
-          c.mailbox.donations() - donations_before + adopted_chains_carry_;
-      adopted_chains_carry_ = 0;
-      obs::count(h_->stats_, obs::Counter::kBgBatchesAdopted,
-                 batches > 0 ? batches : 1);
-    } else {
-      // Donations that raced past the take are counted with the round that
-      // actually consumes them.
-      adopted_chains_carry_ += c.mailbox.donations() - donations_before;
-    }
-    if (reclaimed) {
-      bump(c.scans, 1);
-      if (dom_.counts_heavy_barrier_per_reclaim()) bump(c.heavy_barriers, 1);
+    h_->bg_collect();
+    if (h_->bg_reclaim()) {
       // After freeing, push the recycled nodes back where mutators can
       // reach them — otherwise every free strands in this thread's shard.
       dom_.pool().donate_free_lists(h_->tid());
     }
-    adapt(c);
+    obs::count(h_->stats_, obs::Counter::kBgRounds);
+    adapt(dom_.reclaim_control());
   }
 
   // Post-join cleanup on the controller thread: consume what the final
@@ -243,11 +186,6 @@ class DomainReclaimer {
   }
 
  private:
-  static void bump(std::atomic<std::uint64_t>& a, std::uint64_t n) noexcept {
-    a.store(a.load(std::memory_order_relaxed) + n,
-            std::memory_order_relaxed);
-  }
-
   // Feedback control against the pending-node gauge.  Halving pressure
   // (smaller scan batches, faster era advance) while over target converges
   // in O(log threshold) rounds; the floors keep the system out of
@@ -286,17 +224,13 @@ class DomainReclaimer {
         changed = true;
       }
     }
-    if (changed) {
-      bump(c.adaptations, 1);
-      obs::count(h_->stats_, obs::Counter::kBgAdaptations);
-    }
+    if (changed) obs::count(h_->stats_, obs::Counter::kBgAdaptations);
   }
 
   Domain& dom_;
   typename Domain::Handle* h_;
   const unsigned base_scan_threshold_;
   const unsigned base_era_freq_;
-  std::uint64_t adopted_chains_carry_ = 0;
 };
 
 }  // namespace scot

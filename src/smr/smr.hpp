@@ -48,7 +48,6 @@ concept SmrDomain =
       { d.restarts() } -> std::convertible_to<std::uint64_t>;
       { d.recoveries() } -> std::convertible_to<std::uint64_t>;
       { d.background_active() } -> std::convertible_to<bool>;
-      { d.background_stats() } -> std::same_as<BgReclaimStats>;
       d.start_background_reclaimer();
       d.stop_background_reclaimer();
 

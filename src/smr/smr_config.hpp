@@ -1,7 +1,6 @@
 // Shared configuration knobs and statistics for all reclamation domains.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <string_view>
@@ -69,9 +68,10 @@ struct SmrConfig {
   // guarantees a distinct member node per reservation slot).
   unsigned batch_capacity = 0;
 
-  // Maintain the domain-wide pending-node gauge (+1 retire / -1 free).  The
-  // memory-overhead benchmarks sample it; throughput benchmarks may turn it
-  // off.  Reads are exact when quiescent, approximate otherwise.
+  // Give each handle an obs counter cell (src/obs/stats.hpp, DESIGN.md §8);
+  // throughput benchmarks may turn it off.  The pending-node gauge is not
+  // gated by it: retire/free counts are always kept, because the adaptive
+  // controller and the memory benchmarks read them.
   bool track_stats = true;
 
   // Asymmetric-fence fast path, covering both reader-side publications:
@@ -103,28 +103,6 @@ struct SmrConfig {
   // effective scan_threshold/era_freq (floors apply); once pending drops
   // below half the target they relax back toward the configured values.
   std::uint64_t memory_target = 0;
-};
-
-// Domain-wide counters.  `pending` drives Figures 10-12 (average number of
-// retired-but-not-yet-reclaimed objects).
-struct SmrCounters {
-  std::atomic<std::int64_t> pending{0};
-  std::atomic<std::uint64_t> retired{0};
-  std::atomic<std::uint64_t> reclaimed{0};
-
-  void on_retire(bool track) noexcept {
-    if (track) {
-      pending.fetch_add(1, std::memory_order_relaxed);
-      retired.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  void on_free(std::uint64_t n, bool track) noexcept {
-    if (track && n > 0) {
-      pending.fetch_sub(static_cast<std::int64_t>(n),
-                        std::memory_order_relaxed);
-      reclaimed.fetch_add(n, std::memory_order_relaxed);
-    }
-  }
 };
 
 }  // namespace scot

@@ -82,12 +82,11 @@ TEST(AnyMap, StatsSnapshotReflectsWorkload) {
   for (std::uint64_t k = 0; k < 32; ++k) ASSERT_TRUE(session.insert(k, k));
   for (std::uint64_t k = 0; k < 32; ++k) ASSERT_TRUE(session.erase(k));
   const obs::StatsSnapshot s = map->stats();
-  if (!s.enabled) GTEST_SKIP() << "stats compiled out (SCOT_STATS=0)";
   // Every erase retires the unlinked node through the facade's domain.
-  EXPECT_GE(s.retires, 32u);
-  EXPECT_EQ(s.retires, s.retired_total);
+  EXPECT_GE(s.retired_total, 32u);
+  if (!s.enabled) GTEST_SKIP() << "stats compiled out (SCOT_STATS=0)";
   EXPECT_GT(s.joins, 0u);
-  EXPECT_NE(s.to_string().find("retires: "), std::string::npos);
+  EXPECT_NE(s.to_string().find("retired_total: "), std::string::npos);
 }
 
 // Single-threaded set/map semantics + iterate smoke + leak check, for every

@@ -187,11 +187,11 @@ TEST(KvStore, StatsAggregateAcrossShardDomains) {
     for (unsigned i = 0; i < 2000; ++i) s.erase(key_of(i));
   }
   const obs::StatsSnapshot agg = store->stats();
-  if (agg.enabled) {  // false when SCOT_STATS is compiled out
-    // Every shard saw joins (the session joins all of them) and the churn
-    // produced retires somewhere; the merged snapshot must reflect both.
+  // The churn produced retires somewhere; the merged snapshot must show
+  // them, and (when the cells are compiled in) every shard's joins.
+  EXPECT_GT(agg.retired_total, 0u);
+  if (agg.enabled) {
     EXPECT_GE(agg.joins, 4u);
-    EXPECT_GT(agg.retires, 0u);
   }
   EXPECT_EQ(store->size_unsafe(), 0u);
 }

@@ -1,7 +1,8 @@
 // Observability layer (DESIGN.md §8): counter aggregation across handle
-// join/leave churn, histogram percentiles against a sorted-sample reference,
-// and the trace ring's wrap-without-tearing guarantee (the TSan lane runs
-// the concurrent cases to check the relaxed-cell contract).
+// join/leave churn, the pending gauge, histogram percentiles against a
+// sorted-sample reference, and the trace ring's wrap-without-tearing
+// guarantee (the TSan lane runs the concurrent cases to check the
+// relaxed-cell contract and the gauge's read order).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "obs/histogram.hpp"
@@ -44,32 +46,28 @@ TYPED_TEST(StatsDomainTest, CountersAggregateAcrossJoinLeaveChurn) {
     }
   });
   const obs::StatsSnapshot s = smr.stats();
-  if (!s.enabled) GTEST_SKIP() << "stats compiled out (SCOT_STATS=0)";
   const std::uint64_t joins =
       static_cast<std::uint64_t>(kThreads) * static_cast<std::uint64_t>(laps);
   // Join/leave/retire counts are exact in quiescence: every scoped_handle
-  // lap is one join and one leave, every retire() is one count, and cells
+  // lap is one join and one leave, every retire() is one count, and counts
   // survive record reuse, so churned-through records lose nothing.
-  EXPECT_EQ(s.joins, joins);
-  EXPECT_EQ(s.leaves, joins);
-  EXPECT_EQ(s.retires, joins * kRetiresPerLap);
-  EXPECT_EQ(s.retires, s.retired_total)
-      << "cell-summed retires must match the domain gauge";
-  EXPECT_EQ(s.nodes_reclaimed, s.reclaimed_total)
-      << "cell-summed frees must match the domain gauge";
+  EXPECT_EQ(s.retired_total, joins * kRetiresPerLap);
   EXPECT_EQ(s.pending,
             static_cast<std::int64_t>(s.retired_total - s.reclaimed_total));
+  if (!s.enabled) GTEST_SKIP() << "stats compiled out (SCOT_STATS=0)";
+  EXPECT_EQ(s.joins, joins);
+  EXPECT_EQ(s.leaves, joins);
   EXPECT_EQ(s.scan_count, s.scans)
       << "every counted scan must have recorded one latency sample";
   if constexpr (!std::is_same_v<TypeParam, NoReclaimDomain>) {
     EXPECT_GT(s.scans, 0u);
-    EXPECT_GT(s.nodes_reclaimed, 0u);
+    EXPECT_GT(s.reclaimed_total, 0u);
     EXPECT_GT(s.limbo_peak, 0u);
     EXPECT_GT(s.scan_p50_ns, 0.0);
     EXPECT_GE(s.scan_p999_ns, s.scan_p50_ns);
   }
   const std::string dump = s.to_string();
-  EXPECT_NE(dump.find("retires: "), std::string::npos);
+  EXPECT_NE(dump.find("retired_total: "), std::string::npos);
   EXPECT_NE(dump.find("scan_p99_ns: "), std::string::npos);
 }
 
@@ -105,6 +103,8 @@ TYPED_TEST(StatsDomainTest, OrphanHandoffIsCounted) {
   }
 }
 
+// track_stats=false silences the obs cells only: the retire/free totals
+// and the pending gauge are summed from the handles and stay live.
 TYPED_TEST(StatsDomainTest, RuntimeDisabledSnapshotIsZero) {
   auto cfg = test::small_config(2);
   cfg.track_stats = false;
@@ -116,11 +116,13 @@ TYPED_TEST(StatsDomainTest, RuntimeDisabledSnapshotIsZero) {
   const obs::StatsSnapshot s = smr.stats();
   EXPECT_FALSE(s.enabled);
   EXPECT_EQ(s.joins, 0u);
-  EXPECT_EQ(s.retires, 0u);
   EXPECT_EQ(s.scans, 0u);
+  EXPECT_EQ(s.heavy_barriers, 0u);
   EXPECT_EQ(s.limbo_peak, 0u);
   EXPECT_EQ(s.scan_count, 0u);
   EXPECT_EQ(s.to_string(), "stats: disabled\n");
+  EXPECT_EQ(s.retired_total, 100u);
+  EXPECT_EQ(s.pending, smr.pending_nodes());
 }
 
 TEST(DomainStats, SnapshotSumsCountersAndMaxMergesPeaks) {
@@ -128,28 +130,121 @@ TEST(DomainStats, SnapshotSumsCountersAndMaxMergesPeaks) {
   obs::StatsCell* a = ds.make_cell(true);
   if (a == nullptr) GTEST_SKIP() << "stats compiled out (SCOT_STATS=0)";
   obs::StatsCell* b = ds.make_cell(true);
-  obs::count(a, obs::Counter::kRetires, 5);
-  obs::count(b, obs::Counter::kRetires, 7);
+  obs::count(a, obs::Counter::kEraAdvances, 5);
+  obs::count(b, obs::Counter::kEraAdvances, 7);
   obs::count(a, obs::Counter::kJoins);
   obs::peak(a, 10);
   obs::peak(b, 3);
   obs::peak(b, 2);  // lower watermark must not regress the max
   const std::uint64_t t0 = obs::scan_begin(a);
-  obs::scan_end(a, t0, 4);
+  obs::scan_end(a, t0);
   const obs::StatsSnapshot s = ds.snapshot();
-  EXPECT_EQ(s.retires, 12u);
+  EXPECT_EQ(s.era_advances, 12u);
   EXPECT_EQ(s.joins, 1u);
   EXPECT_EQ(s.limbo_peak, 10u);
   EXPECT_EQ(s.scans, 1u);
-  EXPECT_EQ(s.nodes_reclaimed, 4u);
   EXPECT_EQ(s.scan_count, 1u);
   // Null cells (runtime-disabled) are silently ignored by every helper.
   obs::StatsCell* off = ds.make_cell(false);
   EXPECT_EQ(off, nullptr);
-  obs::count(off, obs::Counter::kRetires);
+  obs::count(off, obs::Counter::kEraAdvances);
   obs::peak(off, 99);
-  obs::scan_end(off, obs::scan_begin(off), 1);
-  EXPECT_EQ(ds.snapshot().retires, 12u);
+  obs::scan_end(off, obs::scan_begin(off));
+  EXPECT_EQ(ds.snapshot().era_advances, 12u);
+}
+
+// ----------------------------------------------------------- pending gauge
+
+template <class Smr>
+class PendingGauge : public ::testing::Test {};
+
+TYPED_TEST_SUITE(PendingGauge, test::AllSchemes);
+
+// The gauge is the paper's memory metric and the adaptive controller's
+// input, so it counts with telemetry off (track_stats=false here, and the
+// SCOT_STATS=OFF build): nothing reclaimable, so pending is exactly N.
+TYPED_TEST(PendingGauge, CountsWithTelemetryOff) {
+  constexpr std::uint64_t kN = 32;
+  SmrConfig cfg = test::small_config(2);
+  cfg.track_stats = false;
+  cfg.scan_threshold = 2 * kN;  // no scan or seal before N retires
+  cfg.batch_capacity = 2 * kN;
+  TypeParam smr(cfg);
+  auto reader = scoped_handle(smr);
+  reader->begin_op();  // pin a reservation (EBR/IBR/Hyaline epoch or era)
+  {
+    auto w = scoped_handle(smr);
+    test::churn_retire(w.get(), static_cast<int>(kN));
+    EXPECT_EQ(smr.pending_nodes(), static_cast<std::int64_t>(kN));
+    const obs::StatsSnapshot s = smr.stats();
+    EXPECT_FALSE(s.enabled);
+    EXPECT_EQ(s.retired_total, kN);
+    EXPECT_EQ(s.reclaimed_total, 0u);
+  }
+  reader->end_op();
+}
+
+template <class Smr>
+class PendingGaugeConcurrent : public ::testing::Test {};
+
+TYPED_TEST_SUITE(PendingGaugeConcurrent, test::ReclaimingSchemes);
+
+// A sampler reads the gauge while 4 threads churn sessions (join, retire
+// inside operations, leave), so frees land on other handles than the
+// retires — through orphan adoption, Hyaline's last-reference drops and,
+// with the reclaimer on, the service thread.  The read order (frees before
+// retires) must keep every sample non-negative; at quiescence the gauge
+// is exact.  Reclaiming on every retire keeps pending near 0, and 64 idle
+// records lengthen each read, so a reversed read order goes negative here
+// on every run.
+TYPED_TEST(PendingGaugeConcurrent, NeverNegativeUnderChurn) {
+  constexpr unsigned kThreads = 4;
+  constexpr int kRetiresPerLap = 40;
+  const int laps = test::scaled_iters(200);
+  for (const bool bg : {false, true}) {
+    SmrConfig cfg = test::small_config(kThreads + 2);
+    cfg.scan_threshold = 1;
+    cfg.batch_capacity = 1;
+    cfg.asymmetric_fences = false;  // cheap scans: frees come fast
+    cfg.background_reclaim = bg;
+    TypeParam smr(cfg);
+    std::vector<typename TypeParam::Handle*> idle(64);
+    for (auto*& h : idle) h = &smr.join();
+    for (auto* h : idle) smr.leave(*h);
+    std::atomic<bool> sampling{false};
+    std::atomic<bool> done{false};
+    std::int64_t min_seen = 0;
+    std::thread sampler([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        min_seen = std::min(min_seen, smr.pending_nodes());
+        sampling.store(true, std::memory_order_relaxed);
+      }
+    });
+    // Churn only once the sampler runs, or a one-core host may finish the
+    // churn before the sampler is ever scheduled.
+    while (!sampling.load(std::memory_order_relaxed)) std::this_thread::yield();
+    test::run_threads(kThreads, [&](unsigned tid) {
+      for (int lap = 0; lap < laps; ++lap) {
+        auto h = scoped_handle(smr);
+        for (int i = 0; i < kRetiresPerLap; ++i) {
+          h->begin_op();
+          h->retire(h->template alloc<TestNode>(std::uint64_t{tid}));
+          h->end_op();
+        }
+      }
+    });
+    done.store(true, std::memory_order_release);
+    sampler.join();
+    EXPECT_GE(min_seen, 0) << "background_reclaim=" << bg;
+
+    smr.stop_background_reclaimer();  // quiesce: no round in flight
+    const obs::StatsSnapshot s = smr.stats();
+    EXPECT_EQ(s.retired_total,
+              std::uint64_t{kThreads} * static_cast<std::uint64_t>(laps) *
+                  kRetiresPerLap);
+    EXPECT_EQ(smr.pending_nodes(),
+              static_cast<std::int64_t>(s.retired_total - s.reclaimed_total));
+  }
 }
 
 // --------------------------------------------------------------- histogram

@@ -22,12 +22,12 @@ TEST(Hyaline, BatchSealsAtCapacity) {
     h.retire(n);
   }
   EXPECT_EQ(h.pending_batch_size(), 2u);
-  EXPECT_EQ(smr.counters().reclaimed.load(), 0u);
+  EXPECT_EQ(smr.stats().reclaimed_total, 0u);
   // Capacity reached: with no active slots the batch frees immediately.
   auto* n = h.template alloc<TestNode>(std::uint64_t{2});
   h.retire(n);
   EXPECT_EQ(h.pending_batch_size(), 0u);
-  EXPECT_EQ(smr.counters().reclaimed.load(), 3u);
+  EXPECT_EQ(smr.stats().reclaimed_total, 3u);
 }
 
 TEST(Hyaline, ActiveSlotHoldsBatchUntilLeave) {
@@ -43,11 +43,11 @@ TEST(Hyaline, ActiveSlotHoldsBatchUntilLeave) {
     p = writer.template alloc<TestNode>(std::uint64_t{9});
     writer.retire(p);
   }
-  EXPECT_EQ(smr.counters().reclaimed.load(), 0u)
+  EXPECT_EQ(smr.stats().reclaimed_total, 0u)
       << "batch must stay alive while the reader's slot is active";
   for (auto* p : nodes) EXPECT_EQ(p->debug_state, kNodeRetired);
   reader.end_op();  // drain the slot: last reference drops here
-  EXPECT_EQ(smr.counters().reclaimed.load(), 3u)
+  EXPECT_EQ(smr.stats().reclaimed_total, 3u)
       << "leave() performs the reclamation (any-thread property)";
   for (auto* p : nodes) EXPECT_EQ(p->debug_state, kNodeFreed);
 }
@@ -121,7 +121,7 @@ TEST(Hyaline, EraFilterSkipsPreEntryThreads) {
     auto* n = writer.template alloc<TestNode>(std::uint64_t(i));
     writer.retire(n);
   }
-  EXPECT_GE(smr.counters().reclaimed.load(), 9u)
+  EXPECT_GE(smr.stats().reclaimed_total, 9u)
       << "young batches must reclaim despite the stalled old reader";
   stalled.end_op();
 }
@@ -140,7 +140,7 @@ TEST(Hyaline, CrossThreadReclamationMigratesMemory) {
     writer.retire(n);
   }
   reader.end_op();  // reader frees the batch into *its own* shard
-  EXPECT_EQ(smr.counters().reclaimed.load(), 3u);
+  EXPECT_EQ(smr.stats().reclaimed_total, 3u);
   // The reader's shard now owns the cells.
   auto* n = reader.template alloc<TestNode>(std::uint64_t{0});
   EXPECT_GT(smr.pool().total_reused(), reused_before);
@@ -166,8 +166,8 @@ TEST(Hyaline, ConcurrentEnterLeaveRetireStress) {
       h.end_op();
     }
   });
-  const auto retired = smr.counters().retired.load();
-  const auto reclaimed = smr.counters().reclaimed.load();
+  const auto retired = smr.stats().retired_total;
+  const auto reclaimed = smr.stats().reclaimed_total;
   EXPECT_EQ(smr.pending_nodes(),
             static_cast<std::int64_t>(retired - reclaimed));
   // Open batches hold at most capacity-1 nodes per thread.

@@ -3,7 +3,9 @@
 // adaptive memory-target controller, and a start/stop vs join/leave race
 // hammer.  The hammer is the TSan witness for the doorbell and donation
 // protocol; the drain tests are the ASan witness that stopping (or
-// destroying) a domain mid-donation leaks nothing.
+// destroying) a domain mid-donation leaks nothing.  Every check keys on
+// behaviour (the pending gauge, the effective knobs) so the suite holds
+// under SCOT_STATS=OFF; obs-cell assertions skip when stats are disabled.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -34,6 +36,13 @@ bool eventually(Pred&& pred, int timeout_ms = 2000) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   return pred();
+}
+
+// At most one batch (small_config's scan_threshold) left unreclaimed.
+// Once mutators donate only the service thread frees, so its rounds ran.
+template <class Smr>
+bool drained(const Smr& smr) {
+  return smr.pending_nodes() <= 16;
 }
 
 // --- ReclaimerThreadBase (scheme-agnostic service thread) -------------------
@@ -77,11 +86,11 @@ TYPED_TEST(ReclaimerTest, ConfigStartsServiceAndStopDrains) {
     auto h = scoped_handle(smr);
     test::churn_retire(h.get(), test::scaled_iters(8000));
   }
-  // At least one round must have run before we pull the plug.
-  ASSERT_TRUE(eventually([&] { return smr.background_stats().rounds > 0; }));
+  // The service thread must reclaim the backlog before we pull the plug.
+  ASSERT_TRUE(eventually([&] { return drained(smr); }))
+      << "pending=" << smr.pending_nodes();
   smr.stop_background_reclaimer();
   EXPECT_FALSE(smr.background_active());
-  EXPECT_FALSE(smr.background_stats().active);
   // Inline reclamation works again after stop: mutators re-adopt whatever
   // is still parked in the background mailbox and scan it themselves.
   {
@@ -99,7 +108,8 @@ TYPED_TEST(ReclaimerTest, StopStartRestartsCleanly) {
   EXPECT_TRUE(smr.background_active());
   auto h = scoped_handle(smr);
   test::churn_retire(h.get(), test::scaled_iters(4000));
-  EXPECT_TRUE(eventually([&] { return smr.background_stats().rounds > 0; }));
+  EXPECT_TRUE(eventually([&] { return drained(smr); }))
+      << "pending=" << smr.pending_nodes();
 }
 
 TYPED_TEST(ReclaimerTest, DonatedBatchesAreAdoptedAndReclaimed) {
@@ -108,22 +118,20 @@ TYPED_TEST(ReclaimerTest, DonatedBatchesAreAdoptedAndReclaimed) {
     auto h = scoped_handle(smr);
     test::churn_retire(h.get(), test::scaled_iters(20000));
   }  // leave() donates the sub-threshold remainder to the mailbox too
-  const auto drained = [&] {
-    return smr.pending_nodes() <= 16;  // == small_config scan_threshold
-  };
-  EXPECT_TRUE(eventually(drained)) << "pending=" << smr.pending_nodes();
-  const BgReclaimStats s = smr.background_stats();
-  EXPECT_GT(s.batches_donated, 0u);
-  EXPECT_GT(s.nodes_adopted, 0u);
+  EXPECT_TRUE(eventually([&] { return drained(smr); }))
+      << "pending=" << smr.pending_nodes();
+  EXPECT_GT(smr.stats().reclaimed_total, 0u);
+  const obs::StatsSnapshot s = smr.stats();
+  if (!s.enabled) return;  // the obs cells below are compiled out
+  EXPECT_GT(s.bg_batches_donated, 0u);
+  EXPECT_GT(s.bg_rounds, 0u);
   EXPECT_GT(s.scans, 0u);
 }
 
-// The acceptance property of the whole PR: with the reclaimer on, no
-// mutator issues a process-wide heavy barrier — every one is attributed to
-// the service thread.  The domain-wide obs aggregate counts every heavy
-// barrier whoever issued it; ReclaimControl::heavy_barriers counts only the
-// service rounds.  Equality of the two — after quiescing, while the
-// reclaimer is still attached — is exactly "mutators issued zero".
+// With the reclaimer on, no mutator issues a process-wide heavy barrier:
+// every one is charged to the service thread's handle.  After a stop no
+// round is in flight, so every record's cell is final; a record that never
+// ran a round (bg_rounds == 0) is a mutator's and must show no barrier.
 TYPED_TEST(ReclaimerTest, MutatorsIssueNoHeavyBarriers) {
   SmrConfig cfg = bg_config();
   cfg.track_stats = true;
@@ -134,24 +142,24 @@ TYPED_TEST(ReclaimerTest, MutatorsIssueNoHeavyBarriers) {
     test::churn_retire(a.get(), test::scaled_iters(10000));
     test::churn_retire(b.get(), test::scaled_iters(10000));
   }
-  if (smr.stats().retires == 0) {
+  if (!smr.stats().enabled) {
     GTEST_SKIP() << "built without SCOT_STATS; no obs attribution to check";
   }
-  // Quiesce: backlog consumed and no round in flight (rounds stable across
-  // one full poll period).
-  ASSERT_TRUE(eventually([&] { return smr.pending_nodes() <= 16; }));
-  std::uint64_t rounds = smr.background_stats().rounds;
-  ASSERT_TRUE(eventually([&] {
-    const std::uint64_t now = smr.background_stats().rounds;
-    const bool stable = now == rounds;
-    rounds = now;
-    return stable;
-  }));
-  const std::uint64_t domain_wide = smr.stats().heavy_barriers;
-  const std::uint64_t service_side = smr.background_stats().heavy_barriers;
-  EXPECT_EQ(domain_wide, service_side)
-      << (domain_wide - service_side) << " heavy barrier(s) escaped to a "
-      << "mutator";
+  ASSERT_TRUE(eventually([&] { return drained(smr); }))
+      << "pending=" << smr.pending_nodes();
+  smr.stop_background_reclaimer();
+  const auto cell = [](const auto* r, obs::Counter c) {
+    return r->handle.stats_->counts[static_cast<unsigned>(c)].load();
+  };
+  unsigned mutators = 0;
+  for (const auto* r = smr.registry().head(); r != nullptr;
+       r = r->next_record()) {
+    if (cell(r, obs::Counter::kBgRounds) != 0) continue;
+    ++mutators;
+    EXPECT_EQ(cell(r, obs::Counter::kHeavyBarriers), 0u)
+        << "heavy barrier(s) escaped to the mutator on record " << r->index;
+  }
+  EXPECT_EQ(mutators, 2u);
 }
 
 // Figure-10-style bound: under sustained churn with a memory_target set,
@@ -166,7 +174,7 @@ TYPED_TEST(ReclaimerTest, AdaptiveControllerBoundsPendingUnderChurn) {
   cfg.memory_target = 512;
   TypeParam smr(cfg);
   const unsigned base_threshold =
-      smr.background_stats().effective_scan_threshold;
+      smr.reclaim_control().effective_scan_threshold();
 
   std::int64_t peak = 0;
   {
@@ -193,7 +201,7 @@ TYPED_TEST(ReclaimerTest, AdaptiveControllerBoundsPendingUnderChurn) {
     return smr.pending_nodes() <=
            static_cast<std::int64_t>(cfg.memory_target);
   })) << "pending=" << smr.pending_nodes();
-  EXPECT_LE(smr.background_stats().effective_scan_threshold, base_threshold);
+  EXPECT_LE(smr.reclaim_control().effective_scan_threshold(), base_threshold);
 }
 
 // The controller itself, deterministically: rounds are driven by hand on a
@@ -211,9 +219,11 @@ TYPED_TEST(ReclaimerTest, AdaptiveControllerTightensThenRelaxes) {
   cfg.memory_target = 64;
   TypeParam smr(cfg);
   DomainReclaimer<TypeParam> svc(smr);
-  const unsigned base_threshold =
-      smr.background_stats().effective_scan_threshold;
+  const ReclaimControl& c = smr.reclaim_control();
+  const unsigned base_threshold = c.effective_scan_threshold();
   ASSERT_EQ(base_threshold, 256u);
+  // Adaptations counted in the service handle's cell (0 without stats).
+  const auto adaptations = [&] { return smr.stats().bg_adaptations; };
 
   {
     auto h = scoped_handle(smr);
@@ -222,27 +232,24 @@ TYPED_TEST(ReclaimerTest, AdaptiveControllerTightensThenRelaxes) {
               static_cast<std::int64_t>(cfg.memory_target));
 
     svc.round();  // over target: one halving step
-    BgReclaimStats s = smr.background_stats();
-    EXPECT_EQ(s.effective_scan_threshold, 128u);
-    EXPECT_EQ(s.adaptations, 1u);
+    EXPECT_EQ(c.effective_scan_threshold(), 128u);
+    EXPECT_EQ(adaptations(), smr.stats().enabled ? 1u : 0u);
 
     for (int i = 0; i < 8; ++i) svc.round();  // converge to the floors
-    s = smr.background_stats();
-    EXPECT_EQ(s.effective_scan_threshold, 8u);  // kMinThreshold
-    EXPECT_EQ(s.effective_era_freq, 4u);        // kMinEraFreq
-    const std::uint64_t at_floor = s.adaptations;
+    EXPECT_EQ(c.effective_scan_threshold(), 8u);  // kMinThreshold
+    EXPECT_EQ(c.effective_era_freq(), 4u);        // kMinEraFreq
+    const std::uint64_t at_floor = adaptations();
     svc.round();  // still over target, but floored: no further adaptation
-    EXPECT_EQ(smr.background_stats().adaptations, at_floor);
+    EXPECT_EQ(adaptations(), at_floor);
   }  // leave() with the service inactive scans inline: pressure released
 
   // Pressure gone: the thresholds double back to the configured base (and
   // not past it), one relax step per round.
   for (int i = 0; i < 10; ++i) svc.round();
-  const BgReclaimStats s = smr.background_stats();
   EXPECT_LE(smr.pending_nodes(),
             static_cast<std::int64_t>(cfg.memory_target));
-  EXPECT_EQ(s.effective_scan_threshold, base_threshold);
-  EXPECT_EQ(s.effective_era_freq, 64u);
+  EXPECT_EQ(c.effective_scan_threshold(), base_threshold);
+  EXPECT_EQ(c.effective_era_freq(), 64u);
 }
 
 // TSan witness: one controller cycling the service thread while mutator
@@ -283,7 +290,7 @@ TEST(ReclaimerNrTest, NoReclaimDomainHasInertSurface) {
   EXPECT_FALSE(smr.background_active());
   smr.start_background_reclaimer();  // no-op
   EXPECT_FALSE(smr.background_active());
-  EXPECT_EQ(smr.background_stats().rounds, 0u);
+  EXPECT_EQ(smr.stats().bg_rounds, 0u);
   smr.stop_background_reclaimer();   // no-op
 }
 

@@ -51,7 +51,7 @@ TYPED_TEST(SmrBasicTest, RetireRaisesPendingGauge) {
   auto* n = h.template alloc<TestNode>(std::uint64_t{0});
   h.retire(n);
   EXPECT_GE(smr.pending_nodes(), 1);
-  EXPECT_GE(smr.counters().retired.load(), 1u);
+  EXPECT_GE(smr.stats().retired_total, 1u);
 }
 
 TYPED_TEST(SmrBasicTest, QuiescentChurnEventuallyReclaims) {
@@ -66,7 +66,7 @@ TYPED_TEST(SmrBasicTest, QuiescentChurnEventuallyReclaims) {
   } else {
     EXPECT_LT(smr.pending_nodes(), 2000)
         << "reclaiming scheme never freed anything";
-    EXPECT_GT(smr.counters().reclaimed.load(), 0u);
+    EXPECT_GT(smr.stats().reclaimed_total, 0u);
   }
 }
 
@@ -75,8 +75,8 @@ TYPED_TEST(SmrBasicTest, PendingGaugeBalancesRetiresAndFrees) {
   auto sh = scoped_handle(smr);
   auto& h = sh.get();
   test::churn_retire(h, 500);
-  const auto retired = smr.counters().retired.load();
-  const auto reclaimed = smr.counters().reclaimed.load();
+  const auto retired = smr.stats().retired_total;
+  const auto reclaimed = smr.stats().reclaimed_total;
   EXPECT_EQ(smr.pending_nodes(),
             static_cast<std::int64_t>(retired - reclaimed));
 }
@@ -102,14 +102,14 @@ TYPED_TEST(SmrBasicTest, ConcurrentHandlesAreDistinct) {
   EXPECT_EQ(smr.active_handles(), 2u);
 }
 
-TYPED_TEST(SmrBasicTest, TrackStatsOffSilencesGauge) {
+TYPED_TEST(SmrBasicTest, TrackStatsOffKeepsGauge) {
   auto cfg = test::small_config();
   cfg.track_stats = false;
   TypeParam smr(cfg);
   auto sh = scoped_handle(smr);
   auto& h = sh.get();
   test::churn_retire(h, 100);
-  EXPECT_EQ(smr.counters().retired.load(), 0u);
+  EXPECT_EQ(smr.stats().retired_total, 100u);
 }
 
 TYPED_TEST(SmrBasicTest, DomainTeardownFreesLimbo) {
@@ -137,8 +137,8 @@ TYPED_TEST(SmrBasicTest, ConcurrentAllocRetireIsCoherent) {
       h.end_op();
     }
   });
-  const auto retired = smr.counters().retired.load();
-  const auto reclaimed = smr.counters().reclaimed.load();
+  const auto retired = smr.stats().retired_total;
+  const auto reclaimed = smr.stats().reclaimed_total;
   EXPECT_EQ(retired, 20000u);
   EXPECT_LE(reclaimed, retired);
   EXPECT_EQ(smr.pending_nodes(),

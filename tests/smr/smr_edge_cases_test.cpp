@@ -178,7 +178,7 @@ TEST(IbrEdge, DisjointLifetimeReclaimsDespiteActiveReader) {
     auto* n = writer.template alloc<TestNode>(std::uint64_t{0});
     writer.retire(n);
   }
-  EXPECT_GT(smr.counters().reclaimed.load(), 0u)
+  EXPECT_GT(smr.stats().reclaimed_total, 0u)
       << "non-overlapping lifetimes must reclaim";
   reader.end_op();
 }
