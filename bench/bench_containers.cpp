@@ -13,65 +13,8 @@
 // structure-agnostic — that flatness is what this grid is for.
 #include "bench/fig_common.hpp"
 
-namespace {
-
-using namespace scot::bench;
-
-// run_grid() with the container twists: the workload is a push/pop mix
-// (read% pinned to 0) and the split flag is forced per grid so one
-// invocation emits both workload variants for the CI artifact.
-void run_container_grid(const char* title, scot::StructureId structure,
-                        std::uint64_t range, int def_ms, bool split) {
-  const auto threads = env_threads();
-  const int ms = env_ms(def_ms);
-  const unsigned runs = env_runs();
-
-  CaseConfig proto;
-  proto.structure = structure;
-  proto.key_range = range;
-  proto.read_pct = 0;  // containers have no read op
-  proto.insert_pct = 50;
-  proto.delete_pct = 50;
-  proto.millis = ms;
-  proto.runs = runs;
-  proto.sample_memory = true;
-  apply_session_flags(proto);
-  proto.split_workload = split;
-
-  std::printf("== %s ==\n", title);
-  std::printf("   structure=%s prefill=%llu mix=%s ms=%d runs=%u",
-              structure_name(structure),
-              static_cast<unsigned long long>(range / 2),
-              split ? "split producer/consumer" : "50 push / 50 pop", ms,
-              runs);
-  if (proto.pin_threads) std::printf(" pinned");
-  if (!proto.asymmetric_fences) std::printf(" no-asym");
-  if (proto.background_reclaim) std::printf(" bg-reclaim");
-  std::printf("\n");
-
-  std::vector<std::string> header{"threads"};
-  for (scot::SchemeId s : kAllSchemes) header.push_back(scheme_name(s));
-  Table t(std::move(header));
-  for (unsigned th : threads) {
-    if (split && th < 2) continue;  // needs at least one of each role
-    std::vector<std::string> row{std::to_string(th)};
-    for (scot::SchemeId s : kAllSchemes) {
-      CaseConfig cfg = proto;
-      cfg.scheme = s;
-      cfg.threads = th;
-      const CaseResult r = run_case(cfg);
-      fig_record(title, cfg, r);
-      row.push_back(format_double(r.mops, 2));
-    }
-    t.add_row(std::move(row));
-  }
-  t.print();
-  std::printf("   (Mops/s; higher is better)\n\n");
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace scot::bench;
   fig_init(argc, argv, "containers");
   std::printf(
       "SCOT reproduction — scheme x container grid (queue/stack/deque)\n\n");
@@ -92,8 +35,17 @@ int main(int argc, char** argv) {
        scot::StructureId::kDeque},
   };
   for (const Grid& g : kGrids) {
-    run_container_grid(g.mixed_title, g.structure, 2048, 300, false);
-    run_container_grid(g.split_title, g.structure, 2048, 300, true);
+    // One invocation emits both workload variants, so the split flag is
+    // set per grid (it reaches the cells through the session flags).
+    for (const bool split : {false, true}) {
+      fig_session().flags.split = split;
+      GridSpec spec{split ? g.split_title : g.mixed_title, g.structure, 2048};
+      spec.read_pct = 0;  // containers have no read op
+      spec.insert_pct = 50;
+      spec.delete_pct = 50;
+      spec.sample_memory = true;
+      run_grid(spec, 300);
+    }
   }
   return fig_finish();
 }

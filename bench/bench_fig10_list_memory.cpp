@@ -1,7 +1,7 @@
 // Figure 10: average number of retired-but-not-yet-reclaimed nodes for the
 // lists (lower is better).  Expected shape: HP/HPopt lowest, EBR highest.
 // Deviation from the paper: we *can* report Hyaline-1S because our pending
-// gauge is domain-wide rather than per-thread (see EXPERIMENTS.md).
+// gauge is domain-wide rather than per-thread (see DESIGN.md §8).
 #include "bench/fig_common.hpp"
 
 int main(int argc, char** argv) {

@@ -55,32 +55,9 @@ inline void fig_init(int argc, char** argv, const char* bench) {
   }
 }
 
-// Copies the session flags into a case: seed, key distribution, pinning,
-// op budget, and (when --preset was given) the workload mix.
+// Copies the session flags into a case (options.hpp apply_flags).
 inline void apply_session_flags(CaseConfig& cfg) {
-  const BenchFlags& f = fig_session().flags;
-  cfg.seed = f.seed;
-  cfg.key_dist = f.dist;
-  cfg.zipf_theta = f.zipf_theta;
-  cfg.pin_threads = f.pin;
-  cfg.op_budget = f.op_budget;
-  cfg.asymmetric_fences = f.asym;
-  cfg.background_reclaim = f.bg;
-  cfg.reclaim_interval_us = f.reclaim_interval_us;
-  cfg.memory_target = f.memory_target;
-  // Serving-layer shape (bench_kv).  --shards is grid state, not case
-  // state — bench_kv picks its shard counts before building cases — so
-  // only the per-case knobs flow through here.
-  cfg.value_size = f.value_size;
-  cfg.key_len = f.key_len;
-  // Container shape (bench_containers): --split pins producer/consumer
-  // roles; the map/kv binaries never read it.
-  cfg.split_workload = f.split;
-  if (f.preset) {
-    cfg.read_pct = f.preset->read_pct;
-    cfg.insert_pct = f.preset->insert_pct;
-    cfg.delete_pct = f.preset->delete_pct;
-  }
+  apply_flags(fig_session().flags, cfg);
 }
 
 inline void fig_record(const std::string& label, const CaseConfig& cfg,
@@ -114,36 +91,57 @@ struct GridSpec {
   int read_pct = 50;  // paper headline mix: 50r / 25i / 25d
   int insert_pct = 25;
   int delete_pct = 25;
-  bool include_nr = true;  // the paper's memory figures omit NR
+  bool include_nr = true;      // the paper's memory figures omit NR
+  bool sample_memory = false;  // record the pending gauge in a Mops grid
 };
 
-inline void run_grid(const GridSpec& spec, int def_ms) {
-  const auto threads = env_threads();
-  const int ms = env_ms(def_ms);
-  const unsigned runs = env_runs();
+// The config line under a grid's title: what every cell of the grid shares.
+inline void print_grid_config(const CaseConfig& c) {
+  const ContainerKind kind = container_kind(c.structure);
+  const auto range = static_cast<unsigned long long>(c.key_range);
+  if (kind == ContainerKind::kKv) {
+    std::printf("   mix=%d/%d/%d range=%llu key=%zuB value=%zuB", c.read_pct,
+                c.insert_pct, c.delete_pct, range, c.key_len, c.value_size);
+  } else if (kind == ContainerKind::kMap) {
+    std::printf("   structure=%s range=%llu mix=%d/%d/%d",
+                structure_name(c.structure), range, c.read_pct, c.insert_pct,
+                c.delete_pct);
+  } else if (c.split_workload) {
+    std::printf("   structure=%s prefill=%llu mix=split producer/consumer",
+                structure_name(c.structure), range / 2);
+  } else {
+    std::printf("   structure=%s prefill=%llu mix=%d push / %d pop",
+                structure_name(c.structure), range / 2, c.insert_pct,
+                100 - c.insert_pct);
+  }
+  std::printf(" ms=%d runs=%u", c.millis, c.runs);
+  const bool keyed = kind == ContainerKind::kMap || kind == ContainerKind::kKv;
+  if (keyed && c.key_dist == KeyDist::kZipfian)
+    std::printf(" dist=zipfian(%.2f)", c.zipf_theta);
+  if (c.pin_threads) std::printf(" pinned");
+  if (!c.asymmetric_fences) std::printf(" no-asym");
+  if (c.background_reclaim) std::printf(" bg-reclaim");
+  std::printf("\n");
+}
 
+// One table per spec: rows = thread counts, columns = schemes, every cell
+// a run_case() of the spec under the session flags.  Split container
+// grids skip the 1-thread row (they need one worker of each role).
+inline void run_grid(const GridSpec& spec, int def_ms) {
   CaseConfig proto;
   proto.structure = spec.structure;
   proto.key_range = spec.key_range;
   proto.read_pct = spec.read_pct;
   proto.insert_pct = spec.insert_pct;
   proto.delete_pct = spec.delete_pct;
-  proto.millis = ms;
-  proto.runs = runs;
-  proto.sample_memory = spec.metric == Metric::kAvgPending;
+  proto.millis = env_ms(def_ms);
+  proto.runs = env_runs();
+  proto.sample_memory =
+      spec.sample_memory || spec.metric == Metric::kAvgPending;
   apply_session_flags(proto);
 
   std::printf("== %s ==\n", spec.title);
-  std::printf("   structure=%s range=%llu mix=%d/%d/%d ms=%d runs=%u",
-              structure_name(spec.structure),
-              static_cast<unsigned long long>(spec.key_range), proto.read_pct,
-              proto.insert_pct, proto.delete_pct, ms, runs);
-  if (proto.key_dist == KeyDist::kZipfian)
-    std::printf(" dist=zipfian(%.2f)", proto.zipf_theta);
-  if (proto.pin_threads) std::printf(" pinned");
-  if (!proto.asymmetric_fences) std::printf(" no-asym");
-  if (proto.background_reclaim) std::printf(" bg-reclaim");
-  std::printf("\n");
+  print_grid_config(proto);
 
   std::vector<std::string> header{"threads"};
   std::vector<SchemeId> schemes;
@@ -153,7 +151,8 @@ inline void run_grid(const GridSpec& spec, int def_ms) {
     header.push_back(scheme_name(s));
   }
   Table t(std::move(header));
-  for (unsigned th : threads) {
+  for (unsigned th : env_threads()) {
+    if (proto.split_workload && th < 2) continue;
     std::vector<std::string> row{std::to_string(th)};
     for (SchemeId s : schemes) {
       CaseConfig cfg = proto;

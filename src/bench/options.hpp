@@ -58,6 +58,7 @@ struct WorkloadMix {
   int read_pct;
   int insert_pct;
   int delete_pct;
+  bool operator==(const WorkloadMix&) const = default;
 };
 
 inline std::optional<WorkloadMix> preset_from_name(std::string_view name) {
@@ -204,9 +205,10 @@ inline bool parse_double(std::string_view sv, double& out) {
 struct BenchFlags {
   std::uint64_t seed = 42;             // --seed <n>
   std::string json_path;               // --json <path>; empty = no sink
-  KeyDist dist = KeyDist::kUniform;    // --dist uniform|zipfian
+  std::optional<KeyDist> dist;         // --dist uniform|zipfian; unset =
+                                       // the binary's default (uniform)
   double zipf_theta = 0.99;            // --theta <0<θ<1>
-  std::optional<WorkloadMix> preset;   // --preset mixed|read-mostly|write-heavy
+  std::optional<WorkloadMix> preset;   // --preset <name> (preset_from_name)
   bool pin = false;                    // --pin: worker-thread CPU affinity
   std::uint64_t op_budget = 0;         // --ops <per-thread count>; 0 = timed
   bool asym = true;                    // --no-asym: classic seq_cst protect
@@ -297,7 +299,7 @@ inline bool extract_bench_flags(std::vector<std::string>& args,
       std::optional<KeyDist> d;
       if (!v || !(d = key_dist_from_name(*v)))
         return fail("--dist needs 'uniform' or 'zipfian'");
-      out.dist = *d;
+      out.dist = d;
     } else if (a == "--theta") {
       const std::string* v = next_value();
       double th = 0;
@@ -308,7 +310,9 @@ inline bool extract_bench_flags(std::vector<std::string>& args,
       const std::string* v = next_value();
       std::optional<WorkloadMix> p;
       if (!v || !(p = preset_from_name(*v)))
-        return fail("--preset needs mixed, read-mostly, or write-heavy");
+        return fail(
+            "--preset needs mixed, read-mostly, write-heavy, ycsb-a, ycsb-b, "
+            "or ycsb-c");
       out.preset = p;
     } else if (a == "--ops") {
       const std::string* v = next_value();
@@ -344,6 +348,31 @@ inline bool extract_bench_flags(std::vector<std::string>& args,
   }
   args = std::move(rest);
   return true;
+}
+
+// Copies the per-case flags into a case: seed, key distribution (when
+// given), pinning, op budget, reclamation knobs, the kv and container
+// shape, and (when --preset was given) the workload mix.  The one copy
+// behind parse_cli and the figure binaries' apply_session_flags.
+inline void apply_flags(const BenchFlags& f, CaseConfig& cfg) {
+  cfg.seed = f.seed;
+  if (f.dist) cfg.key_dist = *f.dist;
+  cfg.zipf_theta = f.zipf_theta;
+  cfg.pin_threads = f.pin;
+  cfg.op_budget = f.op_budget;
+  cfg.asymmetric_fences = f.asym;
+  cfg.background_reclaim = f.bg;
+  cfg.reclaim_interval_us = f.reclaim_interval_us;
+  cfg.memory_target = f.memory_target;
+  cfg.value_size = f.value_size;
+  cfg.key_len = f.key_len;
+  cfg.kv_shards = f.kv_shards;
+  cfg.split_workload = f.split;
+  if (f.preset) {
+    cfg.read_pct = f.preset->read_pct;
+    cfg.insert_pct = f.preset->insert_pct;
+    cfg.delete_pct = f.preset->delete_pct;
+  }
 }
 
 // Parses the paper CLI — positional `argv[1..9]` plus the optional --flags
@@ -416,25 +445,7 @@ inline std::optional<CaseConfig> parse_cli(int argc, const char* const* argv,
   cfg.delete_pct = static_cast<int>(del);
   cfg.threads = static_cast<unsigned>(threads);
   cfg.sample_memory = true;
-
-  cfg.seed = flags.seed;
-  cfg.key_dist = flags.dist;
-  cfg.zipf_theta = flags.zipf_theta;
-  cfg.pin_threads = flags.pin;
-  cfg.op_budget = flags.op_budget;
-  cfg.asymmetric_fences = flags.asym;
-  cfg.background_reclaim = flags.bg;
-  cfg.reclaim_interval_us = flags.reclaim_interval_us;
-  cfg.memory_target = flags.memory_target;
-  cfg.value_size = flags.value_size;
-  cfg.key_len = flags.key_len;
-  cfg.kv_shards = flags.kv_shards;
-  cfg.split_workload = flags.split;
-  if (flags.preset) {
-    cfg.read_pct = flags.preset->read_pct;
-    cfg.insert_pct = flags.preset->insert_pct;
-    cfg.delete_pct = flags.preset->delete_pct;
-  }
+  apply_flags(flags, cfg);
   // Container concepts have no read op; validate after the preset so
   // "queue ... --preset mixed" fails loudly instead of silently dropping
   // half the workload.  --split replaces the roll entirely, so it is only
@@ -458,7 +469,11 @@ inline std::optional<CaseConfig> parse_cli(int argc, const char* const* argv,
 // SCOT_BENCH_RUNS      runs per cell, median reported (default 1)
 
 inline int env_ms(int def_ms) {
-  if (const char* e = std::getenv("SCOT_BENCH_MS")) return std::atoi(e);
+  long long v = 0;
+  if (const char* e = std::getenv("SCOT_BENCH_MS");
+      e != nullptr && parse_decimal(e, v) && v > 0 &&
+      v <= std::numeric_limits<int>::max())
+    return static_cast<int>(v);
   return def_ms;
 }
 

@@ -1,72 +1,79 @@
-// Registry-driven run_case: builds the (scheme, structure) cell through the
-// concept's type-erased facade and feeds it to the matching per-concept
-// measured loop, dispatching on container_kind(cfg.structure).  This single
-// translation unit replaces the seven per-scheme runner_<scheme>.cpp TUs
-// the harness used to need for compile-time scheme selection.
+// Registry-driven run_case: builds the (scheme, structure) cell through its
+// concept's type-erased facade — scot::AnyMap, scot::AnyContainer or
+// scot::KvStore, picked by container_kind(cfg.structure) — and runs it
+// through the one measured loop (runner_impl.hpp) with that concept's
+// driver.
 #include "bench/runner.hpp"
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
 #include "bench/runner_impl.hpp"
 #include "core/any_container.hpp"
 #include "core/any_map.hpp"
+#include "kv/kv_store.hpp"
 
 namespace scot::bench {
 
 namespace {
 
-CaseResult run_one_any_map(const CaseConfig& cfg, std::uint64_t run_seed) {
-  AnyMapOptions options;
-  options.smr = detail::smr_config_for(cfg);
-  options.hash_buckets = detail::bucket_count_for(cfg);
-  auto map = AnyMap::make(cfg.scheme, cfg.structure, options);
-  if (!map) {
-    // The v1 per-scheme switch could not miss a case without a compiler
-    // warning; the runtime registry can (a dropped registration line).
-    // Emitting a fake 0.0-Mops cell would poison JSON reports and
-    // baselines, so fail loudly instead.
+// Unwraps a facade factory's result.  A dropped registration line would
+// otherwise emit a fake 0.0-Mops cell that poisons JSON reports and
+// baselines, so a missing cell fails loudly instead.
+template <class Facade>
+Facade registered(std::optional<Facade> facade, const CaseConfig& cfg,
+                  const char* registry_tu) {
+  if (!facade) {
     std::fprintf(stderr,
-                 "run_case: no registered AnyMap cell for %s/%s — "
-                 "check src/core/any_map.cpp registrations\n",
-                 scheme_name(cfg.scheme), structure_name(cfg.structure));
+                 "run_case: no registered cell for %s/%s — check %s "
+                 "registrations\n",
+                 scheme_name(cfg.scheme), structure_name(cfg.structure),
+                 registry_tu);
     std::exit(2);
   }
-  return detail::run_one_map(*map, cfg, run_seed);
+  return std::move(*facade);
 }
 
-CaseResult run_one_any_container(const CaseConfig& cfg,
-                                 std::uint64_t run_seed) {
-  AnyContainerOptions options;
-  options.smr = detail::smr_config_for(cfg);
-  auto c = AnyContainer::make(cfg.scheme, cfg.structure, options);
-  if (!c) {
-    std::fprintf(stderr,
-                 "run_case: no registered AnyContainer cell for %s/%s — "
-                 "check src/core/any_container.cpp registrations\n",
-                 scheme_name(cfg.scheme), structure_name(cfg.structure));
-    std::exit(2);
-  }
-  return detail::run_one_container(*c, container_kind(cfg.structure), cfg,
-                                   run_seed);
-}
-
-CaseResult run_one_any(const CaseConfig& cfg, std::uint64_t run_seed) {
+CaseResult run_one(const CaseConfig& cfg, std::uint64_t run_seed) {
   switch (container_kind(cfg.structure)) {
-    case ContainerKind::kMap:
-      return run_one_any_map(cfg, run_seed);
+    case ContainerKind::kMap: {
+      AnyMapOptions options;
+      options.smr = detail::smr_config_for(cfg);
+      options.hash_buckets = detail::bucket_count_for(cfg);
+      AnyMap map = registered(AnyMap::make(cfg.scheme, cfg.structure, options),
+                              cfg, "src/core/any_map.cpp");
+      detail::MapDriver<AnyMap> d{map, cfg};
+      return detail::run_measured(d, cfg, run_seed);
+    }
     case ContainerKind::kQueue:
     case ContainerKind::kStack:
-    case ContainerKind::kDeque:
-      return run_one_any_container(cfg, run_seed);
-    case ContainerKind::kKv:
-      // The kv concept's op surface (string keys, blob values) needs the
-      // dedicated bench_kv harness; run_case cannot shape its workload.
-      std::fprintf(stderr,
-                   "run_case: structure %s is kv-concept — use bench_kv, "
-                   "not the integer-keyed harness\n",
-                   structure_name(cfg.structure));
-      std::exit(2);
+    case ContainerKind::kDeque: {
+      AnyContainerOptions options;
+      options.smr = detail::smr_config_for(cfg);
+      AnyContainer c = registered(
+          AnyContainer::make(cfg.scheme, cfg.structure, options), cfg,
+          "src/core/any_container.cpp");
+      detail::ContainerDriver<AnyContainer> d{c, cfg};
+      return detail::run_measured(d, cfg, run_seed);
+    }
+    case ContainerKind::kKv: {
+      KvStoreOptions options;
+      options.smr = detail::smr_config_for(cfg);
+      options.shards = cfg.kv_shards == 0 ? 1 : cfg.kv_shards;
+      // Start shards one doubling below their loaded size so every run
+      // exercises (and then retires) at least one incremental-resize round.
+      const std::uint64_t per_shard =
+          std::max<std::uint64_t>(1, cfg.key_range / options.shards);
+      std::size_t buckets = 16;
+      while (buckets < per_shard / 8) buckets *= 2;
+      options.initial_buckets_per_shard = buckets;
+      KvStore store = registered(
+          KvStore::make(cfg.scheme, cfg.structure, options), cfg,
+          "src/kv/any_kv.cpp");
+      detail::KvDriver<KvStore> d{store, cfg};
+      return detail::run_measured(d, cfg, run_seed);
+    }
     case ContainerKind::kNone:
       break;
   }
@@ -79,7 +86,7 @@ CaseResult run_case(const CaseConfig& cfg) {
   if (cfg.structure == StructureId::kNone)
     return {};  // micro-SMR cells are never run through the harness
   return detail::median_of_runs(
-      cfg, [&](std::uint64_t seed) { return run_one_any(cfg, seed); });
+      cfg, [&](std::uint64_t seed) { return run_one(cfg, seed); });
 }
 
 }  // namespace scot::bench

@@ -1,10 +1,11 @@
 // Entry point of the benchmark harness: runs one (structure, scheme,
-// threads, workload) cell and reports throughput / memory overhead /
-// restart statistics.  Since API v2 there is a single registry-driven
-// implementation (runner.cpp): the cell is built through scot::AnyMap, so
-// scheme and structure are runtime values and no per-scheme translation
-// units exist.  Virtual dispatch is per *operation*; the protect() fast
-// path inside an operation is the fully typed code.
+// threads, workload) cell and reports throughput / latency / memory
+// overhead / restart statistics.  The single registry-driven
+// implementation (runner.cpp) builds the cell through its concept's
+// facade — scot::AnyMap, scot::AnyContainer or scot::KvStore — so scheme
+// and structure are runtime values, and every concept runs through the
+// same measured loop.  Virtual dispatch is per *operation*; the protect()
+// fast path inside an operation is the fully typed code.
 #pragma once
 
 #include "bench/options.hpp"

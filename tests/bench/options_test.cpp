@@ -475,6 +475,17 @@ TEST(Options, YcsbPresetsResolveWithNoDeletes) {
   EXPECT_EQ(cfg->read_pct, 95);
   EXPECT_EQ(cfg->insert_pct, 5);
   EXPECT_EQ(cfg->delete_pct, 0);
+  // An unknown preset's error names every accepted one.
+  args = kGoodArgs;
+  args.push_back("--preset");
+  args.push_back("ycsb-d");
+  std::string error;
+  EXPECT_FALSE(parse(args, &error).has_value());
+  for (const char* name : {"mixed", "read-mostly", "write-heavy", "ycsb-a",
+                           "ycsb-b", "ycsb-c"}) {
+    ASSERT_TRUE(preset_from_name(name).has_value()) << name;
+    EXPECT_NE(error.find(name), std::string::npos) << error;
+  }
 }
 
 TEST(Options, KvShapeFlagsPlumbIntoConfig) {

@@ -6,6 +6,9 @@
 // flag promises.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "bench/options.hpp"
 #include "bench/runner.hpp"
 #include "tests/test_util.hpp"
@@ -13,9 +16,10 @@
 namespace scot::bench {
 namespace {
 
-CaseConfig budget_case(std::uint64_t seed) {
+CaseConfig budget_case(std::uint64_t seed,
+                       StructureId structure = StructureId::kHList) {
   CaseConfig cfg;
-  cfg.structure = StructureId::kHList;
+  cfg.structure = structure;
   cfg.scheme = SchemeId::kEBR;
   cfg.threads = 2;
   cfg.key_range = 128;
@@ -25,20 +29,50 @@ CaseConfig budget_case(std::uint64_t seed) {
   return cfg;
 }
 
-TEST(BenchDeterminism, SameSeedSameOpCounts) {
-  const CaseConfig cfg = budget_case(1234);
-  const CaseResult a = run_case(cfg);
-  const CaseResult b = run_case(cfg);
+// The budget cases of every concept's driver: a map, the kv store at 1
+// and 8 shards, and each container with the mixed roll and with split
+// producer/consumer roles.
+std::vector<CaseConfig> every_concept_budget_case(std::uint64_t seed) {
+  std::vector<CaseConfig> cases{budget_case(seed)};
+  for (const unsigned shards : {1u, 8u}) {
+    cases.push_back(budget_case(seed, StructureId::kKvHash));
+    cases.back().kv_shards = shards;
+  }
+  for (StructureId st : kContainerStructures) {
+    for (const bool split : {false, true}) {
+      CaseConfig cfg = budget_case(seed, st);
+      cfg.read_pct = 0;  // containers have no read op
+      cfg.insert_pct = 50;
+      cfg.delete_pct = 50;
+      cfg.split_workload = split;
+      cases.push_back(cfg);
+    }
+  }
+  return cases;
+}
 
-  EXPECT_EQ(a.total_ops, cfg.op_budget * cfg.threads);
-  EXPECT_EQ(a.total_ops, b.total_ops);
-  EXPECT_EQ(a.reads, b.reads);
-  EXPECT_EQ(a.inserts, b.inserts);
-  EXPECT_EQ(a.removes, b.removes);
-  EXPECT_EQ(a.reads + a.inserts + a.removes, a.total_ops);
-  EXPECT_GT(a.reads, 0u);
-  EXPECT_GT(a.inserts, 0u);
-  EXPECT_GT(a.removes, 0u);
+TEST(BenchDeterminism, SameSeedSameOpCounts) {
+  for (const CaseConfig& cfg : every_concept_budget_case(1234)) {
+    SCOPED_TRACE(std::string(structure_name(cfg.structure)) +
+                 (cfg.split_workload ? " split" : "") +
+                 " shards=" + std::to_string(cfg.kv_shards));
+    const CaseResult a = run_case(cfg);
+    const CaseResult b = run_case(cfg);
+
+    EXPECT_EQ(a.total_ops, cfg.op_budget * cfg.threads);
+    EXPECT_EQ(a.total_ops, b.total_ops);
+    EXPECT_EQ(a.reads, b.reads);
+    EXPECT_EQ(a.inserts, b.inserts);
+    EXPECT_EQ(a.removes, b.removes);
+    EXPECT_EQ(a.reads + a.inserts + a.removes, a.total_ops);
+    EXPECT_EQ(a.reads > 0, cfg.read_pct > 0);
+    EXPECT_GT(a.inserts, 0u);
+    EXPECT_GT(a.removes, 0u);
+    if (cfg.split_workload) {  // worker 0 only pushes, worker 1 only pops
+      EXPECT_EQ(a.inserts, cfg.op_budget);
+      EXPECT_EQ(a.removes, cfg.op_budget);
+    }
+  }
 }
 
 TEST(BenchDeterminism, DifferentSeedDifferentMix) {

@@ -1,9 +1,12 @@
 // Benchmark-harness smoke tests: every figure binary funnels through
 // run_case(), so a short run per scheme/structure here guards the whole
-// bench/ directory against bit-rot.
+// bench/ directory against bit-rot.  Maps, containers and the kv store all
+// run through the same measured loop, so every concept's driver is here.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "bench/options.hpp"
 #include "bench/runner.hpp"
@@ -32,23 +35,65 @@ TEST(BenchHarness, RunsEverySchemeOnTheScotList) {
   }
 }
 
-TEST(BenchHarness, RunsEveryStructureUnderHp) {
+// A short case of every concept: the map structures, each container with
+// the mixed roll and with split producer/consumer roles, and the kv store
+// at 1 and 8 shards.
+std::vector<CaseConfig> every_concept(SchemeId r) {
+  std::vector<CaseConfig> cases;
   for (StructureId st :
        {StructureId::kHMList, StructureId::kHList, StructureId::kHListWF,
-        StructureId::kNMTree, StructureId::kHashMap}) {
-    CaseResult r = run_case(tiny_case(st, SchemeId::kHP));
-    EXPECT_GT(r.total_ops, 0u) << structure_name(st);
+        StructureId::kNMTree, StructureId::kHashMap})
+    cases.push_back(tiny_case(st, r));
+  for (StructureId st : kContainerStructures) {
+    for (const bool split : {false, true}) {
+      CaseConfig cfg = tiny_case(st, r);
+      cfg.read_pct = 0;  // containers have no read op
+      cfg.insert_pct = 50;
+      cfg.delete_pct = 50;
+      cfg.split_workload = split;
+      cases.push_back(cfg);
+    }
+  }
+  for (const unsigned shards : {1u, 8u}) {
+    CaseConfig cfg = tiny_case(StructureId::kKvHash, r);
+    cfg.kv_shards = shards;
+    cases.push_back(cfg);
+  }
+  return cases;
+}
+
+std::string describe(const CaseConfig& cfg) {
+  return std::string(structure_name(cfg.structure)) +
+         (cfg.split_workload ? " split" : "") + " shards=" +
+         std::to_string(cfg.kv_shards);
+}
+
+TEST(BenchHarness, RunsEveryStructureUnderHp) {
+  for (const CaseConfig& cfg : every_concept(SchemeId::kHP)) {
+    CaseResult r = run_case(cfg);
+    EXPECT_GT(r.total_ops, 0u) << describe(cfg);
+    EXPECT_EQ(r.reads + r.inserts + r.removes, r.total_ops) << describe(cfg);
+    const ContainerKind kind = container_kind(cfg.structure);
+    if (kind != ContainerKind::kMap && kind != ContainerKind::kKv) {
+      EXPECT_EQ(r.reads, 0u) << describe(cfg);
+    }
+    if (cfg.split_workload) {  // one producer, one consumer
+      EXPECT_GT(r.inserts, 0u) << describe(cfg);
+      EXPECT_GT(r.removes, 0u) << describe(cfg);
+    }
   }
 }
 
 TEST(BenchHarness, MemorySamplerReportsPending) {
-  CaseConfig cfg = tiny_case(StructureId::kHList, SchemeId::kEBR);
-  cfg.millis = 100;
-  cfg.key_range = 512;
-  CaseResult r = run_case(cfg);
-  // EBR under churn always has *some* retired-but-unreclaimed nodes.
-  EXPECT_GT(r.peak_pending, 0);
-  EXPECT_GE(r.avg_pending, 0.0);
+  for (const StructureId st : {StructureId::kHList, StructureId::kKvHash}) {
+    CaseConfig cfg = tiny_case(st, SchemeId::kEBR);
+    cfg.millis = 100;
+    cfg.key_range = 512;
+    CaseResult r = run_case(cfg);
+    // EBR under churn always has *some* retired-but-unreclaimed nodes.
+    EXPECT_GT(r.peak_pending, 0) << structure_name(st);
+    EXPECT_GE(r.avg_pending, 0.0) << structure_name(st);
+  }
 }
 
 TEST(BenchHarness, NrNeverReclaims) {
@@ -86,6 +131,12 @@ TEST(BenchHarness, EnvThreadParsing) {
 TEST(BenchHarness, EnvMsAndRuns) {
   setenv("SCOT_BENCH_MS", "123", 1);
   EXPECT_EQ(env_ms(999), 123);
+  // Non-positive or malformed durations fall back to the default instead
+  // of running a grid of empty cells.
+  for (const char* bad : {"-5", "0", "abc", "10ms", ""}) {
+    setenv("SCOT_BENCH_MS", bad, 1);
+    EXPECT_EQ(env_ms(999), 999) << "SCOT_BENCH_MS='" << bad << "'";
+  }
   unsetenv("SCOT_BENCH_MS");
   EXPECT_EQ(env_ms(999), 999);
   setenv("SCOT_BENCH_RUNS", "5", 1);
