@@ -4,9 +4,9 @@
 // Harris' list" but not for the tree; this bench quantifies the list side:
 // throughput plus the restart/recovery counters that explain it.
 //
-// Both variants are registered AnyMap cells (StructureId::kHList with the
-// default traits, StructureId::kHListNoRecovery without the escape), so the
-// runs go through the same registry-driven run_case() as every figure
+// Both variants are AnyMap cells (StructureId::kHList with the default
+// traits, StructureId::kHListNoRecovery without the escape), so the runs
+// go through the same facade-driven run_case() as every figure
 // binary and the JSON cells carry distinct structure identities that
 // bench_diff keys on.
 #include <cstdio>

@@ -5,8 +5,8 @@
 // at small key ranges where traversals are short and dup cost is a large
 // fraction of the operation.
 //
-// Both variants are registered AnyMap cells (StructureId::kHList unrolled,
-// StructureId::kHListSimple simple), so the runs go through the registry-
+// Both variants are AnyMap cells (StructureId::kHList unrolled,
+// StructureId::kHListSimple simple), so the runs go through the facade-
 // driven run_case() and the JSON cells carry distinct structure identities
 // that bench_diff keys on.
 #include <cstdio>

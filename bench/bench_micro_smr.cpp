@@ -13,16 +13,13 @@
 //                        per call and written as scot-bench v1 cells
 //                        (bench "micro_smr", structure "none"):
 //                          protect-latency   — a hot protect() loop (the
-//                                              PR 3 A/B evidence;
-//                                              BENCH_pr3.json is a capture)
+//                                              fenced vs. asymmetric A/B)
 //                          begin_op-latency  — operation activation: one
 //                                              begin_op + first protect +
 //                                              end_op per iteration, the
 //                                              era-scheme read-side cost
 //                                              the asymmetric activation
-//                                              discipline lifts
-//                                              (BENCH_pr5.json is a
-//                                              capture).
+//                                              discipline lifts.
 //                        google-benchmark flags are not accepted in this
 //                        mode.
 #include <benchmark/benchmark.h>
@@ -242,20 +239,6 @@ void record_sample(bench::BenchReport& report, const char* label,
               unit, s.cycles_per_op);
 }
 
-template <class Smr>
-void sweep_scheme(bench::BenchReport& report, bench::SchemeId id) {
-  for (const bool asym : {true, false})
-    record_sample(report, "protect-latency", id, asym,
-                  measure_protect<Smr>(asym), "protect");
-}
-
-template <class Smr>
-void sweep_activation(bench::BenchReport& report, bench::SchemeId id) {
-  for (const bool asym : {true, false})
-    record_sample(report, "begin_op-latency", id, asym,
-                  measure_activation<Smr>(asym), "op");
-}
-
 // Stats-overhead guard (report-only): the telemetry counters live on the
 // retire/scan/join/leave paths, never on protect()/begin_op(), so the asym
 // fast path with track_stats on must cost the same as with it off.  A >2%
@@ -290,42 +273,33 @@ int run_latency_sweep(const std::string& json_path) {
   std::printf("   fence path when asymmetric: %s\n",
               asymfence::runtime_path_name());
   std::printf("== protect-latency: fenced vs. asymmetric ==\n");
-  sweep_scheme<NoReclaimDomain>(report, bench::SchemeId::kNR);
-  sweep_scheme<EbrDomain>(report, bench::SchemeId::kEBR);
-  sweep_scheme<HpDomain>(report, bench::SchemeId::kHP);
-  sweep_scheme<HpOptDomain>(report, bench::SchemeId::kHPopt);
-  sweep_scheme<HeDomain>(report, bench::SchemeId::kHE);
-  sweep_scheme<IbrDomain>(report, bench::SchemeId::kIBR);
-  sweep_scheme<HyalineDomain>(report, bench::SchemeId::kHLN);
+  for (const bench::SchemeId id : kAllSchemes) {
+    with_scheme(id, [&]<class Smr>() {
+      for (const bool asym : {true, false})
+        record_sample(report, "protect-latency", id, asym,
+                      measure_protect<Smr>(asym), "protect");
+    });
+  }
   std::printf(
       "== begin_op-latency (activation: begin_op + first protect + end_op) "
       "==\n");
-  sweep_activation<NoReclaimDomain>(report, bench::SchemeId::kNR);
-  sweep_activation<EbrDomain>(report, bench::SchemeId::kEBR);
-  sweep_activation<HpDomain>(report, bench::SchemeId::kHP);
-  sweep_activation<HpOptDomain>(report, bench::SchemeId::kHPopt);
-  sweep_activation<HeDomain>(report, bench::SchemeId::kHE);
-  sweep_activation<IbrDomain>(report, bench::SchemeId::kIBR);
-  sweep_activation<HyalineDomain>(report, bench::SchemeId::kHLN);
+  for (const bench::SchemeId id : kAllSchemes) {
+    with_scheme(id, [&]<class Smr>() {
+      for (const bool asym : {true, false})
+        record_sample(report, "begin_op-latency", id, asym,
+                      measure_activation<Smr>(asym), "op");
+    });
+  }
   std::printf(
       "== stats overhead (asym path, track_stats on vs off; guard <2%%) "
       "==\n");
   const bool warn = report.meta().hardware_threads > 1;
   double floor = 0.0;
-  floor = std::max(floor, sweep_stats_overhead<NoReclaimDomain>(
-                              bench::SchemeId::kNR, warn));
-  floor = std::max(floor,
-                   sweep_stats_overhead<EbrDomain>(bench::SchemeId::kEBR, warn));
-  floor = std::max(floor,
-                   sweep_stats_overhead<HpDomain>(bench::SchemeId::kHP, warn));
-  floor = std::max(floor, sweep_stats_overhead<HpOptDomain>(
-                              bench::SchemeId::kHPopt, warn));
-  floor = std::max(floor,
-                   sweep_stats_overhead<HeDomain>(bench::SchemeId::kHE, warn));
-  floor = std::max(floor,
-                   sweep_stats_overhead<IbrDomain>(bench::SchemeId::kIBR, warn));
-  floor = std::max(floor, sweep_stats_overhead<HyalineDomain>(
-                              bench::SchemeId::kHLN, warn));
+  for (const bench::SchemeId id : kAllSchemes) {
+    floor = std::max(floor, with_scheme(id, [&]<class Smr>() {
+                       return sweep_stats_overhead<Smr>(id, warn);
+                     }));
+  }
   report.meta().noise_floor_pct = floor;
   if (!warn)
     std::printf(

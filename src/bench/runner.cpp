@@ -1,4 +1,4 @@
-// Registry-driven run_case: builds the (scheme, structure) cell through its
+// Facade-driven run_case: builds the (scheme, structure) cell through its
 // concept's type-erased facade — scot::AnyMap, scot::AnyContainer or
 // scot::KvStore, picked by container_kind(cfg.structure) — and runs it
 // through the one measured loop (runner_impl.hpp) with that concept's
@@ -18,18 +18,16 @@ namespace scot::bench {
 
 namespace {
 
-// Unwraps a facade factory's result.  A dropped registration line would
-// otherwise emit a fake 0.0-Mops cell that poisons JSON reports and
-// baselines, so a missing cell fails loudly instead.
+// Unwraps a facade make()'s result.  A structure missing from its concept's
+// make() switch would otherwise emit a fake 0.0-Mops cell that poisons JSON
+// reports and baselines, so a missing cell fails loudly instead.
 template <class Facade>
 Facade registered(std::optional<Facade> facade, const CaseConfig& cfg,
-                  const char* registry_tu) {
+                  const char* make_fn) {
   if (!facade) {
-    std::fprintf(stderr,
-                 "run_case: no registered cell for %s/%s — check %s "
-                 "registrations\n",
+    std::fprintf(stderr, "run_case: no cell for %s/%s — check %s\n",
                  scheme_name(cfg.scheme), structure_name(cfg.structure),
-                 registry_tu);
+                 make_fn);
     std::exit(2);
   }
   return std::move(*facade);
@@ -42,7 +40,7 @@ CaseResult run_one(const CaseConfig& cfg, std::uint64_t run_seed) {
       options.smr = detail::smr_config_for(cfg);
       options.hash_buckets = detail::bucket_count_for(cfg);
       AnyMap map = registered(AnyMap::make(cfg.scheme, cfg.structure, options),
-                              cfg, "src/core/any_map.cpp");
+                              cfg, "AnyMap::make() in src/core/any_map.cpp");
       detail::MapDriver<AnyMap> d{map, cfg};
       return detail::run_measured(d, cfg, run_seed);
     }
@@ -53,7 +51,7 @@ CaseResult run_one(const CaseConfig& cfg, std::uint64_t run_seed) {
       options.smr = detail::smr_config_for(cfg);
       AnyContainer c = registered(
           AnyContainer::make(cfg.scheme, cfg.structure, options), cfg,
-          "src/core/any_container.cpp");
+          "AnyContainer::make() in src/core/any_container.cpp");
       detail::ContainerDriver<AnyContainer> d{c, cfg};
       return detail::run_measured(d, cfg, run_seed);
     }
@@ -70,7 +68,7 @@ CaseResult run_one(const CaseConfig& cfg, std::uint64_t run_seed) {
       options.initial_buckets_per_shard = buckets;
       KvStore store = registered(
           KvStore::make(cfg.scheme, cfg.structure, options), cfg,
-          "src/kv/any_kv.cpp");
+          "AnyKv::make() in src/kv/any_kv.cpp");
       detail::KvDriver<KvStore> d{store, cfg};
       return detail::run_measured(d, cfg, run_seed);
     }

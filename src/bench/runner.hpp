@@ -1,6 +1,6 @@
 // Entry point of the benchmark harness: runs one (structure, scheme,
 // threads, workload) cell and reports throughput / latency / memory
-// overhead / restart statistics.  The single registry-driven
+// overhead / restart statistics.  The single facade-driven
 // implementation (runner.cpp) builds the cell through its concept's
 // facade — scot::AnyMap, scot::AnyContainer or scot::KvStore — so scheme
 // and structure are runtime values, and every concept runs through the

@@ -1,34 +1,25 @@
-// Runtime structure registry: the closed set of data structures as values,
-// the per-concept structure tables, and the SchemeId × StructureId → factory
-// tables behind the type-erased facades (scot::AnyMap, scot::AnyKv,
-// scot::AnyContainer).
+// Runtime structure registry: the closed set of data structures as values.
 //
 // Like src/smr/registry.hpp this is the single source of truth for structure
-// identity: the bench options, the JSON reports and the paper CLI mode
-// spellings all resolve through the tables here.  Structures are grouped by
-// *container concept* (ContainerKind): uint64-keyed maps, string-keyed kv
-// shards, and the queue/stack/deque shapes each have their own iteration
-// table and their own factory registry, because their op surfaces differ —
-// but they share one StructureId namespace so JSON cell keys, CLI names and
+// identity: one kStructureInfos row per StructureId carries its name, its
+// container concept and its paper-CLI mode, and the bench options, the JSON
+// reports and the facades' make() checks all resolve through it.  Structures
+// are grouped by *container concept* (ContainerKind): uint64-keyed maps,
+// string-keyed kv shards, and the queue/stack/deque shapes each have their
+// own iteration table and their own type-erased facade (scot::AnyMap,
+// scot::AnyKv, scot::AnyContainer), because their op surfaces differ — but
+// they share one StructureId namespace so JSON cell keys, CLI names and
 // grid labels never collide across concepts.
 //
-// The factory tables are genuine *runtime* registries — src/core/any_map.cpp,
-// src/kv/any_kv.cpp and src/core/any_container.cpp populate their scheme ×
-// structure cross products at static-initialisation time, and out-of-tree
-// code can register additional cells through
-// `AnyMapRegistry::instance().add(...)` (DESIGN.md §6 and §11 have the
-// recipe).
-//
-// This header is deliberately light: it forward-declares the type-erased
-// implementation interfaces instead of including the structure headers, so
-// name resolution never pays for template instantiation.
+// There is no runtime factory table: each facade's make() resolves the
+// scheme with with_scheme() (smr/smr.hpp) and the structure with a switch
+// in the concept's one translation unit.  This header stays light — no
+// structure or domain headers — so name resolution never pays for template
+// instantiation.
 #pragma once
 
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string_view>
-#include <vector>
 
 #include "smr/registry.hpp"
 
@@ -53,8 +44,7 @@ enum class StructureId {
 
 // The container concept a StructureId belongs to.  Grids, CLI resolution,
 // the bench runner's dispatch and the facade make() checks all branch on
-// this — never on ad-hoc StructureId comparisons — so adding a structure to
-// a concept is one enum row plus one case below.
+// this — never on ad-hoc StructureId comparisons.
 enum class ContainerKind {
   kMap,    // uint64 → uint64 ordered/unordered maps (scot::AnyMap)
   kKv,     // string-keyed serving shards (scot::AnyKv / KvStore)
@@ -63,26 +53,6 @@ enum class ContainerKind {
   kDeque,  // both ends (scot::AnyDeque)
   kNone,   // StructureId::kNone — no data structure at all
 };
-
-inline ContainerKind container_kind(StructureId s) noexcept {
-  switch (s) {
-    case StructureId::kHMList:
-    case StructureId::kHList:
-    case StructureId::kHListWF:
-    case StructureId::kNMTree:
-    case StructureId::kHashMap:
-    case StructureId::kSkipList:
-    case StructureId::kSkipListEager:
-    case StructureId::kHListNoRecovery:
-    case StructureId::kHListSimple: return ContainerKind::kMap;
-    case StructureId::kKvHash: return ContainerKind::kKv;
-    case StructureId::kMSQueue: return ContainerKind::kQueue;
-    case StructureId::kTreiberStack: return ContainerKind::kStack;
-    case StructureId::kDeque: return ContainerKind::kDeque;
-    case StructureId::kNone: return ContainerKind::kNone;
-  }
-  return ContainerKind::kNone;
-}
 
 inline const char* container_kind_name(ContainerKind k) noexcept {
   switch (k) {
@@ -105,10 +75,10 @@ inline constexpr StructureId kAllStructures[] = {
     StructureId::kNMTree,  StructureId::kHashMap,  StructureId::kSkipList,
     StructureId::kSkipListEager};
 
-// Trait-ablation variants of the Harris list (bench_ablation_*): registered,
-// name-resolvable identities so their JSON cells diff cleanly, but — like
-// kNone — deliberately absent from kAllStructures, so no figure grid or
-// cross-product test ever iterates them.
+// Trait-ablation variants of the Harris list (bench_ablation_*): real
+// AnyMap cells with name-resolvable identities so their JSON cells diff
+// cleanly, but deliberately absent from kAllStructures, so no figure grid
+// iterates them.
 inline constexpr StructureId kAblationStructures[] = {
     StructureId::kHListNoRecovery, StructureId::kHListSimple};
 
@@ -128,139 +98,67 @@ inline constexpr StructureId kDequeStructures[] = {StructureId::kDeque};
 inline constexpr StructureId kContainerStructures[] = {
     StructureId::kMSQueue, StructureId::kTreiberStack, StructureId::kDeque};
 
-inline const char* structure_name(StructureId s) noexcept {
-  switch (s) {
-    case StructureId::kHMList: return "HMList";
-    case StructureId::kHList: return "HList";
-    case StructureId::kHListWF: return "HListWF";
-    case StructureId::kNMTree: return "NMTree";
-    case StructureId::kHashMap: return "HashMap";
-    case StructureId::kSkipList: return "SkipList";
-    case StructureId::kSkipListEager: return "SkipListHS";
-    case StructureId::kHListNoRecovery: return "HListNoRec";
-    case StructureId::kHListSimple: return "HListSimple";
-    case StructureId::kKvHash: return "KvHash";
-    case StructureId::kMSQueue: return "MSQueue";
-    case StructureId::kTreiberStack: return "TreiberStack";
-    case StructureId::kDeque: return "Deque";
-    case StructureId::kNone: return "none";
-  }
-  return "?";
-}
-
-// Reverse of structure_name(); used when loading JSON reports.  "none", the
-// ablation variants, the kv structures and the container structures are all
-// resolvable (their cells carry these names) even though only kAllStructures
-// feeds the map-shaped figure grids.
-inline std::optional<StructureId> structure_from_name(std::string_view name) {
-  if (name == structure_name(StructureId::kNone)) return StructureId::kNone;
-  for (StructureId s : kAblationStructures) {
-    if (name == structure_name(s)) return s;
-  }
-  for (StructureId s : kKvStructures) {
-    if (name == structure_name(s)) return s;
-  }
-  for (StructureId s : kContainerStructures) {
-    if (name == structure_name(s)) return s;
-  }
-  for (StructureId s : kAllStructures) {
-    if (name == structure_name(s)) return s;
-  }
-  return std::nullopt;
-}
-
-// Paper-artifact CLI mode spellings (Appendix A.5), extended with the
-// container concept's modes.  Container modes take a push/pop mix instead
-// of read/insert/delete — parse_cli enforces <read%> = 0 for them.
-inline std::optional<StructureId> structure_from_mode(std::string_view mode) {
-  if (mode == "listlf") return StructureId::kHList;
-  if (mode == "listwf") return StructureId::kHListWF;
-  if (mode == "listhm") return StructureId::kHMList;
-  if (mode == "tree") return StructureId::kNMTree;
-  if (mode == "hash") return StructureId::kHashMap;
-  if (mode == "skip") return StructureId::kSkipList;
-  if (mode == "skiphs") return StructureId::kSkipListEager;
-  if (mode == "queue") return StructureId::kMSQueue;
-  if (mode == "stack") return StructureId::kTreiberStack;
-  if (mode == "deque") return StructureId::kDeque;
-  return std::nullopt;
-}
-
-// --- factory registries ----------------------------------------------------
-
-// One registry shape for every type-erased facade: maps (scheme, structure)
-// to a factory producing the concept's implementation interface.
-// Registration normally happens during static init from the concept's single
-// cross-product TU, but the table is mutex-guarded so late (test /
-// out-of-tree) registration is safe.  Last registration for a cell wins, so
-// tests can shadow a factory.
-template <class Impl, class Options>
-class AnyFactoryRegistry {
- public:
-  using Factory = std::unique_ptr<Impl> (*)(const Options&);
-
-  struct Entry {
-    SchemeId scheme;
-    StructureId structure;
-    Factory factory;
-  };
-
-  static AnyFactoryRegistry& instance() {
-    static AnyFactoryRegistry registry;
-    return registry;
-  }
-
-  void add(SchemeId scheme, StructureId structure, Factory factory) {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (Entry& e : entries_) {
-      if (e.scheme == scheme && e.structure == structure) {
-        e.factory = factory;
-        return;
-      }
-    }
-    entries_.push_back(Entry{scheme, structure, factory});
-  }
-
-  Factory find(SchemeId scheme, StructureId structure) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const Entry& e : entries_) {
-      if (e.scheme == scheme && e.structure == structure) return e.factory;
-    }
-    return nullptr;
-  }
-
-  std::vector<Entry> entries() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return entries_;
-  }
-
- private:
-  AnyFactoryRegistry() = default;
-  mutable std::mutex mu_;
-  std::vector<Entry> entries_;
+// One row per StructureId, in enum order.  `mode` is the paper-artifact CLI
+// spelling (Appendix A.5, extended with the container modes; container
+// modes take a push/pop mix — parse_cli enforces <read%> = 0 for them), or
+// nullptr for structures the CLI cannot name.  Adding a structure is one
+// row here plus one case in its concept's make() (DESIGN.md §6, §11).
+struct StructureInfo {
+  StructureId id;
+  const char* name;
+  ContainerKind kind;
+  const char* mode;
 };
 
-struct AnyMapOptions;        // core/any_map.hpp
-struct AnyKvOptions;         // kv/any_kv.hpp
-struct AnyContainerOptions;  // core/any_container.hpp
-namespace detail {
-class AnyMapImpl;        // core/any_map.hpp
-class AnyKvImpl;         // kv/any_kv.hpp
-class AnyContainerImpl;  // core/any_container.hpp
-}  // namespace detail
+inline constexpr StructureInfo kStructureInfos[] = {
+    {StructureId::kHMList, "HMList", ContainerKind::kMap, "listhm"},
+    {StructureId::kHList, "HList", ContainerKind::kMap, "listlf"},
+    {StructureId::kHListWF, "HListWF", ContainerKind::kMap, "listwf"},
+    {StructureId::kNMTree, "NMTree", ContainerKind::kMap, "tree"},
+    {StructureId::kHashMap, "HashMap", ContainerKind::kMap, "hash"},
+    {StructureId::kSkipList, "SkipList", ContainerKind::kMap, "skip"},
+    {StructureId::kSkipListEager, "SkipListHS", ContainerKind::kMap, "skiphs"},
+    {StructureId::kHListNoRecovery, "HListNoRec", ContainerKind::kMap,
+     nullptr},
+    {StructureId::kHListSimple, "HListSimple", ContainerKind::kMap, nullptr},
+    {StructureId::kKvHash, "KvHash", ContainerKind::kKv, nullptr},
+    {StructureId::kMSQueue, "MSQueue", ContainerKind::kQueue, "queue"},
+    {StructureId::kTreiberStack, "TreiberStack", ContainerKind::kStack, "stack"},
+    {StructureId::kDeque, "Deque", ContainerKind::kDeque, "deque"},
+    {StructureId::kNone, "none", ContainerKind::kNone, nullptr},
+};
 
-// Populated by src/core/any_map.cpp; queried by AnyMap::make().
-using AnyMapRegistry = AnyFactoryRegistry<detail::AnyMapImpl, AnyMapOptions>;
+inline constexpr StructureInfo structure_info(StructureId s) noexcept {
+  for (const StructureInfo& info : kStructureInfos) {
+    if (info.id == s) return info;
+  }
+  return StructureInfo{s, "?", ContainerKind::kNone, nullptr};
+}
 
-// The string-keyed sibling: populated by src/kv/any_kv.cpp (scheme cross
-// product × kKvStructures); queried by AnyKv::make() and, per shard, by
-// KvStore::make().
-using AnyKvRegistry = AnyFactoryRegistry<detail::AnyKvImpl, AnyKvOptions>;
+inline constexpr ContainerKind container_kind(StructureId s) noexcept {
+  return structure_info(s).kind;
+}
 
-// The queue/stack/deque concept: populated by src/core/any_container.cpp
-// (scheme cross product × kContainerStructures); queried by
-// AnyContainer::make() and the per-concept facades.
-using AnyContainerRegistry =
-    AnyFactoryRegistry<detail::AnyContainerImpl, AnyContainerOptions>;
+inline constexpr const char* structure_name(StructureId s) noexcept {
+  return structure_info(s).name;
+}
+
+// Reverse of structure_name(); used when loading JSON reports.  Every row
+// resolves — "none", the ablation variants and the kv and container
+// structures included — even though only kAllStructures feeds the
+// map-shaped figure grids.
+inline std::optional<StructureId> structure_from_name(std::string_view name) {
+  for (const StructureInfo& info : kStructureInfos) {
+    if (name == info.name) return info.id;
+  }
+  return std::nullopt;
+}
+
+inline std::optional<StructureId> structure_from_mode(std::string_view mode) {
+  for (const StructureInfo& info : kStructureInfos) {
+    if (info.mode != nullptr && mode == info.mode) return info.id;
+  }
+  return std::nullopt;
+}
 
 }  // namespace scot

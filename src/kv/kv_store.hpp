@@ -1,5 +1,5 @@
 // scot::KvStore — the serving-layer facade: N independent AnyKv shards,
-// each a (scheme × structure) registry cell with its own SMR domain, its
+// each a (scheme × structure) AnyKv cell with its own SMR domain, its
 // own NodePool, and its own incremental-resize state (DESIGN.md §10).
 //
 // Routing.  Keys hash once (kv_hash); the TOP 16 bits pick the shard and
@@ -44,9 +44,9 @@ struct KvStoreOptions {
 
 class KvStore {
  public:
-  // Builds `shards` registry cells of (scheme, structure).  Returns nullopt
-  // for unregistered cells.  Defined in src/kv/any_kv.cpp next to the
-  // factory table.
+  // Builds `shards` AnyKv cells of (scheme, structure).  Returns nullopt
+  // for a structure outside the kv concept.  Defined in src/kv/any_kv.cpp
+  // next to AnyKv::make().
   static std::optional<KvStore> make(SchemeId scheme, StructureId structure,
                                      const KvStoreOptions& options = {});
 

@@ -6,8 +6,8 @@
 // types.  API v2 inverts that: this header is the single source of truth for
 // scheme identity — the bench options, the JSON reports, the `scot::AnyMap`
 // facade and the examples all resolve names through it.  Adding a scheme is
-// one enum value + one `kSchemeInfos` row here, plus one registration line
-// in src/core/any_map.cpp (see DESIGN.md §6 for the full recipe).
+// one enum value + one `kSchemeInfos` row here, plus one case in
+// with_scheme() in src/smr/smr.hpp (see DESIGN.md §6 for the full recipe).
 //
 // This header is deliberately light (no domain headers): it is included by
 // everything that talks *about* schemes.  The scheme types themselves are
@@ -26,8 +26,8 @@ inline constexpr SchemeId kAllSchemes[] = {
     SchemeId::kNR, SchemeId::kEBR, SchemeId::kHP,  SchemeId::kHPopt,
     SchemeId::kHE, SchemeId::kIBR, SchemeId::kHLN};
 
-// One row per scheme.  `robust` mirrors Domain::kRobust; src/core/any_map.cpp
-// static_asserts the two never drift apart.
+// One row per scheme.  `robust` mirrors Domain::kRobust; with_scheme() in
+// src/smr/smr.hpp static_asserts the two never drift apart.
 struct SchemeInfo {
   SchemeId id;
   const char* name;    // paper-artifact CLI spelling (Appendix A.5)

@@ -71,12 +71,41 @@ concept SmrDomain =
       slot.dup_from(slot);
     };
 
-static_assert(SmrDomain<NoReclaimDomain>);
-static_assert(SmrDomain<EbrDomain>);
-static_assert(SmrDomain<HpDomain>);
-static_assert(SmrDomain<HpOptDomain>);
-static_assert(SmrDomain<HeDomain>);
-static_assert(SmrDomain<IbrDomain>);
-static_assert(SmrDomain<HyalineDomain>);
+namespace detail {
+template <SchemeId kId, class D, class F>
+decltype(auto) call_with_domain(F& f) {
+  static_assert(SmrDomain<D>);
+  static_assert(D::kRobust == scheme_info(kId).robust,
+                "kSchemeInfos' robust column must mirror Domain::kRobust");
+  return f.template operator()<D>();
+}
+}  // namespace detail
+
+// The one SchemeId → domain-type mapping: resolves a runtime scheme value
+// to its domain type once, then calls `f.template operator()<Domain>()`
+// (e.g. a `[&]<class Smr>() { ... }` lambda) and returns its result.  The
+// facades' make()s and bench_micro_smr dispatch through here; an id
+// outside the enum yields a value-initialised result.
+template <class F>
+auto with_scheme(SchemeId id, F&& f)
+    -> decltype(f.template operator()<NoReclaimDomain>()) {
+  switch (id) {
+    case SchemeId::kNR:
+      return detail::call_with_domain<SchemeId::kNR, NoReclaimDomain>(f);
+    case SchemeId::kEBR:
+      return detail::call_with_domain<SchemeId::kEBR, EbrDomain>(f);
+    case SchemeId::kHP:
+      return detail::call_with_domain<SchemeId::kHP, HpDomain>(f);
+    case SchemeId::kHPopt:
+      return detail::call_with_domain<SchemeId::kHPopt, HpOptDomain>(f);
+    case SchemeId::kHE:
+      return detail::call_with_domain<SchemeId::kHE, HeDomain>(f);
+    case SchemeId::kIBR:
+      return detail::call_with_domain<SchemeId::kIBR, IbrDomain>(f);
+    case SchemeId::kHLN:
+      return detail::call_with_domain<SchemeId::kHLN, HyalineDomain>(f);
+  }
+  return decltype(f.template operator()<NoReclaimDomain>())();
+}
 
 }  // namespace scot

@@ -5,6 +5,7 @@
 // previously only got by running the binary.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -107,13 +108,24 @@ TEST(Options, NameTablesAreTheRuntimeRegistries) {
     EXPECT_STREQ(scheme_name(s), scot::scheme_info(s).name);
     EXPECT_EQ(scot::scheme_from_name(scheme_name(s)), s);
   }
-  for (StructureId d : kAllStructures) {
-    EXPECT_STREQ(structure_name(d), scot::structure_name(d));
+  // kStructureInfos has one row per StructureId, in enum order, and every
+  // row — ablation variants, kv, containers and kNone included — round-
+  // trips through its name and (when it has one) its CLI mode.
+  ASSERT_EQ(std::size(scot::kStructureInfos),
+            static_cast<std::size_t>(StructureId::kNone) + 1);
+  for (std::size_t i = 0; i < std::size(scot::kStructureInfos); ++i) {
+    const auto d = static_cast<StructureId>(i);
+    const scot::StructureInfo& info = scot::kStructureInfos[i];
+    EXPECT_EQ(info.id, d) << info.name;
+    EXPECT_STREQ(structure_name(d), info.name);
     EXPECT_EQ(scot::structure_from_name(structure_name(d)), d);
+    if (info.mode != nullptr) {
+      EXPECT_EQ(structure_from_mode(info.mode), d);
+    }
   }
   // The registry's robustness column mirrors Domain::kRobust (statically
-  // asserted against the domain types in src/core/any_map.cpp); spot-check
-  // the two families here.
+  // asserted against the domain types in with_scheme, src/smr/smr.hpp);
+  // spot-check the two families here.
   EXPECT_FALSE(scot::scheme_info(SchemeId::kEBR).robust);
   EXPECT_TRUE(scot::scheme_info(SchemeId::kHP).robust);
 }

@@ -1,8 +1,7 @@
-// scot::AnyMap / runtime registry coverage: every SchemeId x StructureId
-// cell must be constructible through the facade and behave like a set/map
-// under single-threaded semantics and a small concurrent churn.  This is
-// the acceptance test of the API v2 registry — if a registration line goes
-// missing, the cross-product walk below fails by name.
+// scot::AnyMap coverage: every SchemeId x map-structure cell must be
+// constructible through the facade and behave like a set/map under
+// single-threaded semantics and a small concurrent churn.  If a case goes
+// missing from AnyMap::make(), the cross-product walk below fails by name.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,26 +27,22 @@ std::string cell_name(SchemeId s, StructureId d) {
   return std::string(scheme_name(s)) + "/" + structure_name(d);
 }
 
-TEST(AnyMapRegistry, CoversTheFullCrossProduct) {
-  const auto entries = AnyMapRegistry::instance().entries();
-  std::size_t expected = 0;
+// make() over every SchemeId x StructureId: each map-concept structure
+// (grid and ablation rows) builds a cell; every other pair — kv,
+// containers and kNone — is nullopt.
+TEST(AnyMap, MakeCoversExactlyTheMapConcept) {
   for (SchemeId s : kAllSchemes) {
-    for (StructureId d : kAllStructures) {
-      ++expected;
-      EXPECT_NE(AnyMapRegistry::instance().find(s, d), nullptr)
-          << "unregistered cell " << cell_name(s, d);
+    for (const StructureInfo& d : kStructureInfos) {
+      const bool in_concept = d.kind == ContainerKind::kMap;
+      EXPECT_EQ(AnyMap::make(s, d.id, small_options()).has_value(), in_concept)
+          << cell_name(s, d.id);
     }
   }
-  EXPECT_GE(entries.size(), expected);
 }
 
-TEST(AnyMap, UnregisteredCellsAreRejected) {
-  EXPECT_FALSE(AnyMap::make(SchemeId::kEBR, StructureId::kNone).has_value());
-}
-
-// The trait-ablation variants are real registered cells (bench_ablation_*
-// routes through run_case / AnyMap), registered for every scheme even
-// though the grids never iterate them.
+// The trait-ablation variants are real cells (bench_ablation_* routes
+// through run_case / AnyMap), built for every scheme even though the grids
+// never iterate them.
 TEST(AnyMap, AblationVariantCellsAreRegisteredAndFunctional) {
   for (SchemeId s : kAllSchemes) {
     for (StructureId d : scot::kAblationStructures) {
@@ -90,7 +85,7 @@ TEST(AnyMap, StatsSnapshotReflectsWorkload) {
 }
 
 // Single-threaded set/map semantics + iterate smoke + leak check, for every
-// registered cell.
+// grid cell.
 TEST(AnyMap, EveryCellSingleThreadedSemantics) {
   constexpr std::uint64_t kKeys = 64;
   for (SchemeId s : kAllSchemes) {
@@ -169,7 +164,7 @@ TEST(AnyMap, EveryCellConcurrentChurnSmoke) {
 }
 
 // ---- String-keyed cells (scot::AnyKv, src/kv/) ----------------------------
-// The serving layer reuses the same runtime-registry pattern with typed
+// The serving layer reuses the same facade skeleton with typed
 // (string) keys, so the cross-product checks live here next to their
 // integer-keyed siblings.  Deeper resize/hammer coverage is kv_store_test.
 

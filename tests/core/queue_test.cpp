@@ -23,11 +23,18 @@ AnyContainerOptions small_options(unsigned threads = 4) {
   return options;
 }
 
-TEST(AnyContainerRegistry, CoversTheFullSchemeCrossProduct) {
+// make() over every SchemeId x StructureId: each queue/stack/deque
+// structure builds a cell; every other pair — maps, kv and kNone — is
+// nullopt.
+TEST(AnyContainer, MakeCoversExactlyTheContainerConcept) {
   for (SchemeId s : kAllSchemes) {
-    for (StructureId d : kContainerStructures) {
-      EXPECT_NE(AnyContainerRegistry::instance().find(s, d), nullptr)
-          << scheme_name(s) << "/" << structure_name(d);
+    for (const StructureInfo& d : kStructureInfos) {
+      const bool in_concept = d.kind == ContainerKind::kQueue ||
+                              d.kind == ContainerKind::kStack ||
+                              d.kind == ContainerKind::kDeque;
+      EXPECT_EQ(AnyContainer::make(s, d.id, small_options()).has_value(),
+                in_concept)
+          << scheme_name(s) << "/" << d.name;
     }
   }
 }

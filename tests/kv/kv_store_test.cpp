@@ -67,6 +67,10 @@ TEST(AnyKv, EverySchemeRegistersTheKvCell) {
       EXPECT_STREQ(kv->structure_name(), "KvHash");
     }
   }
+  // A map structure is not a kv cell.
+  EXPECT_FALSE(
+      AnyKv::make(SchemeId::kEBR, StructureId::kHList, small_kv_options())
+          .has_value());
   // KvHash is name-resolvable but deliberately absent from the uint64 grid.
   EXPECT_EQ(structure_from_name("KvHash"), StructureId::kKvHash);
   for (const StructureId s : kAllStructures) EXPECT_NE(s, StructureId::kKvHash);
