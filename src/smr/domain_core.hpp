@@ -46,7 +46,8 @@ template <class Derived, class Handle>
 class DomainCore {
  public:
   // Throws std::invalid_argument unless cfg.slots_per_thread is in
-  // [1, 32]: the slot schemes track used slots in a 32-bit mask.
+  // [1, kMaxSlots]: the slot schemes hold that many slots inline and track
+  // the used ones in a 32-bit mask.
   explicit DomainCore(SmrConfig cfg = {})
       : cfg_(validated(cfg)),
         pool_(cfg.max_threads),
@@ -167,7 +168,8 @@ class DomainCore {
  protected:
   SmrConfig cfg_;
   NodePool pool_;
-  asymfence::Path fence_path_;
+  // Resolved once here; every handle's protect reads it unsynchronized.
+  const asymfence::Path fence_path_;
   std::atomic<std::uint64_t> clock_{1};
   // Declared before the registry: handles hold raw cell pointers, so the
   // cell list must be destroyed after the records are.
@@ -189,7 +191,7 @@ class DomainCore {
   }
 
   static SmrConfig validated(const SmrConfig& cfg) {
-    if (cfg.slots_per_thread < 1 || cfg.slots_per_thread > 32)
+    if (cfg.slots_per_thread < 1 || cfg.slots_per_thread > kMaxSlots)
       throw std::invalid_argument(
           "scot: SmrConfig::slots_per_thread must be in [1, 32]");
     return cfg;

@@ -117,9 +117,10 @@ class EbrHandle : public LimboHandle<EbrDomain, EbrHandle> {
   friend class EbrDomain;
 
   // Published epoch reservation, read by every scan.  Lives inside the
-  // handle (each registry record is kFalseSharingRange-aligned), so the
-  // reservation array grows with the registry.
-  std::atomic<std::uint64_t> reservation_{kIdle};
+  // handle, so the reservation array grows with the registry.  Aligned to
+  // its own false-sharing range; as the last member it is followed only by
+  // the handle's tail padding, so no owner-written field shares its line.
+  alignas(kFalseSharingRange) std::atomic<std::uint64_t> reservation_{kIdle};
 };
 
 inline std::uint64_t EbrDomain::min_reservation() const noexcept {

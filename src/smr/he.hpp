@@ -9,16 +9,14 @@
 // HP this replaces the per-node publication fence with (amortized) one fence
 // per era change.
 //
-// The era slots live inside the Handle and scans walk the live registry;
-// leave() clears the slots, then LimboHandle scans and donates the leftover
-// limbo.
+// The era slots live inline in the Handle as one line-isolated SlotBlock and
+// scans walk the live registry; leave() clears the slots, then LimboHandle
+// scans and donates the leftover limbo.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cstdint>
-#include <memory>
 
 #include "common/asymfence.hpp"
 #include "common/chunked_list.hpp"
@@ -34,7 +32,8 @@ class HeDomain : public DomainCore<HeDomain, HeHandle> {
  public:
   static constexpr const char* kName = "HE";
   static constexpr bool kRobust = true;
-  static constexpr std::uint64_t kIdleEra = 0;  // eras start at 1
+  // Eras start at 1; 0 is also the value SlotBlock starts every slot at.
+  static constexpr std::uint64_t kIdleEra = 0;
   using Handle = HeHandle;
 
   using DomainCore::DomainCore;
@@ -55,12 +54,7 @@ class HeHandle : public LimboHandle<HeDomain, HeHandle> {
   static constexpr bool kRetireEras = true;
   static constexpr std::uint64_t kIdleEra = HeDomain::kIdleEra;
 
-  HeHandle(HeDomain* dom, unsigned tid)
-      : LimboHandle(dom, tid),
-        slots_(new std::atomic<std::uint64_t>[dom->config().slots_per_thread]) {
-    for (unsigned i = 0; i < dom->config().slots_per_thread; ++i)
-      slots_[i].store(kIdleEra, std::memory_order_relaxed);
-  }
+  using LimboHandle::LimboHandle;
 
   // HE has no eager activation store: an operation becomes visible to
   // reclaimers at its *first slot publish* (end_op cleared every slot, so
@@ -71,14 +65,7 @@ class HeHandle : public LimboHandle<HeDomain, HeHandle> {
   // free under both disciplines.
   void begin_op() noexcept {}
 
-  void end_op() noexcept {
-    while (used_mask_ != 0) {
-      const unsigned idx =
-          static_cast<unsigned>(__builtin_ctz(used_mask_));
-      used_mask_ &= used_mask_ - 1;
-      slots_[idx].store(kIdleEra, std::memory_order_release);
-    }
-  }
+  void end_op() noexcept { slots_.clear(used_mask_, kIdleEra); }
 
   // HE get_protected: loop until the global era observed after the load
   // equals the era published in the slot.  When the era is already
@@ -91,7 +78,7 @@ class HeHandle : public LimboHandle<HeDomain, HeHandle> {
   // `Src` is std::atomic<P> or StableAtomic<P>.
   template <class Src, class P = typename Src::value_type>
   P protect(const Src& src, unsigned idx) noexcept {
-    std::uint64_t prev = slots_[idx].load(std::memory_order_relaxed);
+    std::uint64_t prev = slots_.v[idx].load(std::memory_order_relaxed);
     const asymfence::Path fences = dom_->fence_path_;
     for (;;) {
       P v = src.load(std::memory_order_acquire);
@@ -100,12 +87,7 @@ class HeHandle : public LimboHandle<HeDomain, HeHandle> {
         used_mask_ |= 1u << idx;
         return v;
       }
-      if (fences == asymfence::Path::kClassic) {
-        slots_[idx].store(e, std::memory_order_seq_cst);
-      } else {
-        slots_[idx].store(e, std::memory_order_release);
-        asymfence::light_barrier(fences);
-      }
+      slots_.publish(idx, e, fences);
       prev = e;
     }
   }
@@ -114,20 +96,13 @@ class HeHandle : public LimboHandle<HeDomain, HeHandle> {
   void publish(T* /*p*/, unsigned idx) noexcept {
     // Publishing the current era protects everything alive at it,
     // including the immortal anchor this is used for.
-    const std::uint64_t e = dom_->clock_.load(std::memory_order_acquire);
-    if (dom_->fence_path_ == asymfence::Path::kClassic) {
-      slots_[idx].store(e, std::memory_order_seq_cst);
-    } else {
-      slots_[idx].store(e, std::memory_order_release);
-      asymfence::light_barrier(dom_->fence_path_);
-    }
+    slots_.publish(idx, dom_->clock_.load(std::memory_order_acquire),
+                   dom_->fence_path_);
     used_mask_ |= 1u << idx;
   }
 
   void dup(unsigned i, unsigned j) noexcept {
-    assert(i < j && "SCOT requires ascending-index dup (paper §3.2)");
-    slots_[j].store(slots_[i].load(std::memory_order_relaxed),
-                    std::memory_order_release);
+    slots_.dup(i, j);
     used_mask_ |= 1u << j;
   }
 
@@ -175,9 +150,10 @@ class HeHandle : public LimboHandle<HeDomain, HeHandle> {
     return it != snapshot_.end() && *it <= retire;
   }
 
-  // Per-thread era slots; sized by cfg.slots_per_thread at handle
-  // construction, reused across join/leave cycles.
-  std::unique_ptr<std::atomic<std::uint64_t>[]> slots_;
+  // Per-thread era slots, inline and line-isolated (SlotBlock); scans read
+  // the first cfg.slots_per_thread.  Reused across join/leave cycles.
+  SlotBlock<std::uint64_t> slots_;
+  // Owner-only: the slots this operation published, cleared by end_op().
   std::uint32_t used_mask_ = 0;
   // Scan scratch, reused across scans; grows with the registry.
   ChunkedList<std::uint64_t> snapshot_;
@@ -188,7 +164,7 @@ void HeDomain::collect_eras(Out& out) const {
   for (const auto* r = registry_.head(); r != nullptr; r = r->next_record()) {
     for (unsigned i = 0; i < cfg_.slots_per_thread; ++i) {
       const std::uint64_t e =
-          r->handle.slots_[i].load(std::memory_order_acquire);
+          r->handle.slots_.v[i].load(std::memory_order_acquire);
       if (e != kIdleEra) out.push_back(e);
     }
   }

@@ -15,16 +15,16 @@
 // dup calls to copy toward *higher* indices because scans read slots in
 // ascending order (see DESIGN.md §4).
 //
-// The hazard slots live inside the Handle (one cache-line-isolated block per
-// registry record) and scans walk the live registry; leave() clears the
-// slots, then LimboHandle scans and donates the leftover limbo.
+// The hazard slots live inline in the Handle as one SlotBlock (its own
+// false-sharing ranges inside the registry record), so the per-node
+// is_hazard() probe touches one slot line per record; scans walk the live
+// registry.  leave() clears the slots, then LimboHandle scans and donates
+// the leftover limbo.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cstdint>
-#include <memory>
 
 #include "common/asymfence.hpp"
 #include "common/chunked_list.hpp"
@@ -54,7 +54,7 @@ class HazardPointerDomain
     for (const auto* r = this->registry_.head(); r != nullptr;
          r = r->next_record()) {
       for (unsigned i = 0; i < this->cfg_.slots_per_thread; ++i) {
-        if (r->handle.slots_[i].load(std::memory_order_acquire) == n)
+        if (r->handle.slots_.v[i].load(std::memory_order_acquire) == n)
           return true;
       }
     }
@@ -71,7 +71,7 @@ class HazardPointerDomain
     for (const auto* r = this->registry_.head(); r != nullptr;
          r = r->next_record()) {
       for (unsigned i = 0; i < this->cfg_.slots_per_thread; ++i) {
-        ReclaimNode* v = r->handle.slots_[i].load(std::memory_order_acquire);
+        ReclaimNode* v = r->handle.slots_.v[i].load(std::memory_order_acquire);
         if (v != nullptr) out.push_back(v);
       }
     }
@@ -88,12 +88,7 @@ class HpHandle
  public:
   static constexpr bool kRetireEras = false;
 
-  HpHandle(Domain* dom, unsigned tid)
-      : Base(dom, tid),
-        slots_(new std::atomic<ReclaimNode*>[dom->config().slots_per_thread]) {
-    for (unsigned i = 0; i < dom->config().slots_per_thread; ++i)
-      slots_[i].store(nullptr, std::memory_order_relaxed);
-  }
+  using Base::Base;
 
  protected:
   // The base is dependent, so its members need explicit re-introduction.
@@ -106,17 +101,8 @@ class HpHandle
 
   void begin_op() noexcept {}
 
-  // Clears every slot this operation touched (release: the nodes remain
-  // valid until the store is visible; nothing in this thread reads them
-  // afterwards).
-  void end_op() noexcept {
-    while (used_mask_ != 0) {
-      const unsigned idx =
-          static_cast<unsigned>(__builtin_ctz(used_mask_));
-      used_mask_ &= used_mask_ - 1;
-      slots_[idx].store(nullptr, std::memory_order_release);
-    }
-  }
+  // Clears every slot this operation touched.
+  void end_op() noexcept { slots_.clear(used_mask_, nullptr); }
 
   // `Src` is std::atomic<P> or StableAtomic<P> (pool-recycled link words).
   template <class Src, class P = typename Src::value_type>
@@ -130,7 +116,7 @@ class HpHandle
         // re-read still sees `cur`, the publication preceded any
         // subsequent unlink of the link we loaded from, so a retirement
         // scan must observe the slot.
-        slots_[idx].store(smr_raw(cur), std::memory_order_seq_cst);
+        slots_.v[idx].store(smr_raw(cur), std::memory_order_seq_cst);
         P again = src.load(std::memory_order_seq_cst);
         if (again == cur) break;
         cur = again;
@@ -141,7 +127,7 @@ class HpHandle
         // the heavy barrier every scan issues before reading the slots
         // (DESIGN.md §5).  On the fallback path light_barrier() is a real
         // seq_cst fence, making the pair equivalent to the classic code.
-        slots_[idx].store(smr_raw(cur), std::memory_order_release);
+        slots_.v[idx].store(smr_raw(cur), std::memory_order_release);
         asymfence::light_barrier(fences);
         P again = src.load(std::memory_order_acquire);
         if (again == cur) break;
@@ -156,19 +142,12 @@ class HpHandle
   // are never retired).  Do NOT use for reclaimable nodes.
   template <class T>
   void publish(T* p, unsigned idx) noexcept {
-    if (dom_->fence_path_ == asymfence::Path::kClassic) {
-      slots_[idx].store(smr_raw(p), std::memory_order_seq_cst);
-    } else {
-      slots_[idx].store(smr_raw(p), std::memory_order_release);
-      asymfence::light_barrier(dom_->fence_path_);
-    }
+    slots_.publish(idx, smr_raw(p), dom_->fence_path_);
     used_mask_ |= 1u << idx;
   }
 
   void dup(unsigned i, unsigned j) noexcept {
-    assert(i < j && "SCOT requires ascending-index dup (paper §3.2)");
-    slots_[j].store(slots_[i].load(std::memory_order_relaxed),
-                    std::memory_order_release);
+    slots_.dup(i, j);
     used_mask_ |= 1u << j;
   }
 
@@ -208,10 +187,10 @@ class HpHandle
  private:
   friend Domain;
 
-  // Per-thread hazard slots (the record's alignment isolates them from
-  // other threads' lines); sized by cfg.slots_per_thread at handle
-  // construction, reused across join/leave cycles.
-  std::unique_ptr<std::atomic<ReclaimNode*>[]> slots_;
+  // Per-thread hazard slots, inline and line-isolated (SlotBlock); scans
+  // read the first cfg.slots_per_thread.  Reused across join/leave cycles.
+  SlotBlock<ReclaimNode*> slots_;
+  // Owner-only: the slots this operation published, cleared by end_op().
   std::uint32_t used_mask_ = 0;
   // HPopt scratch, reused across scans; grows with the registry.
   ChunkedList<ReclaimNode*> snapshot_;

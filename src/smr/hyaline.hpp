@@ -369,13 +369,14 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
     delete bh;
   }
 
-  struct SlotData {
+  // Aligned and sized to whole false-sharing ranges: remote retirers
+  // exchange `head`, so the owner's batch_* fields must not share its line.
+  struct alignas(kFalseSharingRange) SlotData {
     std::atomic<std::uintptr_t> head{kInactive};
     std::atomic<std::uint64_t> era{0};
   };
 
-  // Reservation slot (the record's alignment isolates it from other
-  // threads' lines).
+  // Reservation slot, isolated from every other field by its type.
   SlotData slot_;
   std::uint64_t era_local_ = 0;
   bool restart_ = false;

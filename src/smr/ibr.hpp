@@ -157,10 +157,11 @@ class IbrHandle : public LimboHandle<IbrDomain, IbrHandle> {
     return false;
   }
 
-  // Published interval (the record's alignment isolates it).
-  std::atomic<std::uint64_t> res_lower_{kIdle};
+  // Published interval, alone in its own false-sharing range (alignas here
+  // and on the next member), so no owner-written field shares its line.
+  alignas(kFalseSharingRange) std::atomic<std::uint64_t> res_lower_{kIdle};
   std::atomic<std::uint64_t> res_upper_{kIdle};
-  std::uint64_t upper_cache_ = kIdle;
+  alignas(kFalseSharingRange) std::uint64_t upper_cache_ = kIdle;
   // Scan scratch, reused across scans; grows with the registry.
   ChunkedList<std::pair<std::uint64_t, std::uint64_t>> snapshot_;
 };

@@ -59,9 +59,9 @@ struct SmrConfig {
   unsigned era_freq = 128;
 
   // Number of protection indices per thread for slot-based schemes (HP, HE),
-  // in [1, 32] (domains throw otherwise).  Each structure declares what its
-  // traversal needs as kSlotsRequired and refuses a smaller value: the SCOT
-  // list needs 4, the SCOT tree 6, the kv map 7.
+  // in [1, kMaxSlots] = [1, 32] (domains throw otherwise).  Each structure
+  // declares what its traversal needs as kSlotsRequired and refuses a
+  // smaller value: the SCOT list needs 4, the SCOT tree 6, the kv map 7.
   unsigned slots_per_thread = 8;
 
   // Hyaline batch capacity; 0 = auto (max_threads + 1, the minimum that

@@ -121,7 +121,8 @@ TEST(HpEdge, ProtectTracksSourceChanges) {
 }
 
 // Slot schemes track used slots in a 32-bit mask, so every domain refuses a
-// slot count outside [1, 32] at construction.
+// slot count outside [1, 32] at construction.  At 32 the last array element
+// and mask bit 31 must publish, dup, scan and clear like any other slot.
 TEST(SlotConfig, DomainRejectsSlotCountsOutsideOneTo32) {
   auto cfg = test::small_config(2);
   cfg.slots_per_thread = 33;
@@ -129,8 +130,61 @@ TEST(SlotConfig, DomainRejectsSlotCountsOutsideOneTo32) {
   EXPECT_THROW(HeDomain{cfg}, std::invalid_argument);
   cfg.slots_per_thread = 0;
   EXPECT_THROW(HpDomain{cfg}, std::invalid_argument);
+  EXPECT_THROW(HeDomain{cfg}, std::invalid_argument);
   cfg.slots_per_thread = 32;
-  EXPECT_NO_THROW(HpDomain{cfg});
+
+  // `collect(smr)` returns what a scan would see, in slot order;
+  // `want(smr, n)` is the value a reservation of node n publishes now.
+  auto top_slot = [&]<class Smr>(std::type_identity<Smr>, auto collect,
+                                 auto want) {
+    SCOPED_TRACE(Smr::kName);
+    Smr smr(cfg);
+    auto sh = scoped_handle(smr);
+    auto& h = sh.get();
+    auto* a = h.template alloc<TestNode>(std::uint64_t{1});
+    auto* b = h.template alloc<TestNode>(std::uint64_t{2});
+    std::atomic<ReclaimNode*> src{a};
+    using Seen = decltype(collect(smr));
+
+    h.begin_op();
+    EXPECT_EQ(h.protect(src, 31), a);
+    EXPECT_EQ(collect(smr), Seen{want(smr, a)}) << "protect into slot 31";
+    h.end_op();
+    EXPECT_EQ(collect(smr), Seen{}) << "end_op clears slot 31";
+
+    h.begin_op();
+    h.publish(b, 31);
+    EXPECT_EQ(collect(smr), Seen{want(smr, b)}) << "publish into slot 31";
+    h.end_op();
+    EXPECT_EQ(collect(smr), Seen{});
+
+    h.begin_op();
+    h.publish(b, 30);
+    h.dup(30, 31);
+    EXPECT_EQ(collect(smr), (Seen{want(smr, b), want(smr, b)}))
+        << "dup(30, 31)";
+    h.end_op();
+    EXPECT_EQ(collect(smr), Seen{}) << "end_op clears slots 30 and 31";
+
+    h.dealloc_unpublished(a);
+    h.dealloc_unpublished(b);
+  };
+  auto hazards = [](const auto& smr) {
+    std::vector<ReclaimNode*> out;
+    smr.collect_hazards(out);
+    return out;
+  };
+  auto pointer = [](const auto&, ReclaimNode* n) { return n; };
+  top_slot(std::type_identity<HpDomain>{}, hazards, pointer);
+  top_slot(std::type_identity<HpOptDomain>{}, hazards, pointer);
+  top_slot(
+      std::type_identity<HeDomain>{},
+      [](const HeDomain& smr) {
+        std::vector<std::uint64_t> out;
+        smr.collect_eras(out);
+        return out;
+      },
+      [](const HeDomain& smr, ReclaimNode*) { return smr.era(); });
 }
 
 TEST(IbrEdge, UpperBoundWidensDuringOperation) {
