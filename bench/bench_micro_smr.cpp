@@ -7,7 +7,11 @@
 // Two modes:
 //  * default           — the google-benchmark suite.  protect/* benchmarks
 //                        take an Arg: 1 = asymmetric fences, 0 = classic
-//                        seq_cst publication.
+//                        seq_cst publication.  chase/* is the structure-
+//                        shaped cell: a hand-over-hand walk of 128 nodes of
+//                        a 256-node ring linked in random order, each node
+//                        doing the Harris list's safe-zone steps through a
+//                        TraversalGuard (items/s = nodes walked).
 //  * --json <path>     — two fixed-iteration latency sweeps per (scheme,
 //                        fence discipline), measured in ns and TSC cycles
 //                        per call and written as scot-bench v1 cells
@@ -34,6 +38,7 @@
 #include "bench/report/report.hpp"
 #include "common/asymfence.hpp"
 #include "common/timing.hpp"
+#include "common/xorshift.hpp"
 #include "core/core.hpp"
 
 namespace {
@@ -82,6 +87,51 @@ void BM_Dup(benchmark::State& state) {
   h.dealloc_unpublished(n);
 }
 
+struct ChaseNode : ReclaimNode {
+  StableAtomic<marked_ptr<ChaseNode>> next;
+};
+
+// The Harris list's per-node safe-zone steps (harris_list.hpp), on a ring
+// whose links jump around the pool, so every protect depends on the load
+// before it.  Each iteration is one operation that resumes where the last
+// one stopped.
+template <class Smr>
+void BM_Chase(benchmark::State& state) {
+  constexpr std::size_t kRing = 256;
+  constexpr int kWalk = 128;
+  using MP = marked_ptr<ChaseNode>;
+  SmrConfig cfg;
+  cfg.max_threads = 2;
+  Smr smr(cfg);
+  auto sh = scoped_handle(smr);
+  auto& h = sh.get();
+  std::vector<ChaseNode*> ring;
+  for (std::size_t i = 0; i < kRing; ++i)
+    ring.push_back(h.template alloc<ChaseNode>());
+  Xoshiro256 rng(kRing);
+  for (std::size_t i = kRing - 1; i > 0; --i)
+    std::swap(ring[i], ring[rng.next_in(i + 1)]);
+  for (std::size_t i = 0; i < kRing; ++i)
+    ring[i]->next.store(MP(ring[(i + 1) % kRing]), std::memory_order_release);
+
+  const StableAtomic<MP>* from = &ring.back()->next;
+  for (auto _ : state) {
+    TraversalGuard<typename Smr::Handle> g(h);
+    auto next = g.template slot<ChaseNode>();
+    auto curr = g.template slot<ChaseNode>();
+    auto prev = g.template slot<ChaseNode>();
+    Protected<ChaseNode> n = next.protect(*from);
+    for (int i = 0; i < kWalk; ++i) {
+      prev.dup_from(curr);
+      curr.dup_from(next);
+      n = next.protect(n->next);
+    }
+    from = &n->next;
+  }
+  state.SetItemsProcessed(state.iterations() * kWalk);
+  for (ChaseNode* n : ring) h.dealloc_unpublished(n);
+}
+
 template <class Smr>
 void BM_BeginEndOp(benchmark::State& state) {
   SmrConfig cfg;
@@ -115,6 +165,7 @@ void BM_AllocRetire(benchmark::State& state) {
       ->Arg(1)                                             \
       ->Arg(0);                                            \
   BENCHMARK(BM_Dup<scheme>)->Name("dup/" #scheme);         \
+  BENCHMARK(BM_Chase<scheme>)->Name("chase/" #scheme);     \
   BENCHMARK(BM_BeginEndOp<scheme>)->Name("op/" #scheme);   \
   BENCHMARK(BM_AllocRetire<scheme>)->Name("alloc_retire/" #scheme)
 

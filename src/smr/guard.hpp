@@ -17,9 +17,10 @@
 //     the funnel for op_valid()/revalidate_op() polling.
 //
 // Everything here is a zero-cost veneer over the indexed handle calls:
-// slots are (handle, index) pairs resolved at compile time, so the
-// per-protect fast path (including the asymmetric-fence publication) is
-// exactly the scheme's own protect().
+// slots are (handle, index) pairs and the per-node calls are force-inlined
+// down to the scheme's own protect()/publish()/dup() (DESIGN.md §6), so
+// the per-protect fast path (including the asymmetric-fence publication)
+// is exactly the scheme's slot store and validating re-read.
 //
 // Obtaining the Handle a TraversalGuard wraps: `auto h =
 // scoped_handle(domain)` (smr/handle_registry.hpp) — RAII join/leave
@@ -91,20 +92,23 @@ class ProtectionSlot {
   // P = marked_ptr<T> or T*.  For Hyaline-style schemes the caller must
   // poll guard.valid() before trusting previously protected values.
   template <class Link>
-  Protected<T> protect(const Link& src) noexcept {
+  [[gnu::always_inline]] Protected<T> protect(const Link& src) noexcept {
     return Protected<T>(h_->protect(src, idx_));
   }
 
   // Non-validating publication for immortal anchors (sentinels that are
   // never retired).  Do NOT use for reclaimable nodes.
-  void publish(T* anchor) noexcept { h_->publish(anchor, idx_); }
+  [[gnu::always_inline]] void publish(T* anchor) noexcept {
+    h_->publish(anchor, idx_);
+  }
 
   // Copies another role's protection into this slot.  SCOT requires all
   // copies to flow toward *higher* indices because retirement scans read
   // slots in ascending order (paper §3.2, DESIGN.md §4) — asserted here
   // instead of at every call site.
   template <class U>
-  void dup_from(const ProtectionSlot<Handle, U>& src) noexcept {
+  [[gnu::always_inline]] void dup_from(
+      const ProtectionSlot<Handle, U>& src) noexcept {
     assert(src.index() < idx_ &&
            "SCOT requires ascending-index dup (paper §3.2)");
     h_->dup(src.index(), idx_);

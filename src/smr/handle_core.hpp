@@ -89,16 +89,16 @@ inline unsigned adopt_orphans(RetireMailbox& mailbox,
   return adopted;
 }
 
-// The per-handle slot cap: HP/HPopt and HE track used slots in a 32-bit
-// mask, and DomainCore refuses SmrConfig::slots_per_thread above it.
+// The per-handle slot cap: the size of the inline SlotBlock array, so
+// DomainCore refuses SmrConfig::slots_per_thread above it.
 inline constexpr unsigned kMaxSlots = 32;
 
 // The indexed reservation slots of HP/HPopt (pointers) and HE (eras), held
 // inline in the handle.  The block occupies its own false-sharing ranges, so
 // a scan's per-record probe touches only slot lines, never a line the owner
 // writes for anything else (DESIGN.md §7, records).  Every slot starts at
-// T{}: the null pointer, or HE's idle era 0.  Used-slot bookkeeping stays
-// with the owner, outside the block.
+// T{}: the null pointer, or HE's idle era 0.  The per-node steps keep no
+// bookkeeping and are force-inlined (DESIGN.md §6, per-node path).
 template <class T>
 struct alignas(kFalseSharingRange) SlotBlock {
   std::atomic<T> v[kMaxSlots]{};
@@ -107,7 +107,8 @@ struct alignas(kFalseSharingRange) SlotBlock {
   // seq_cst on the classic path; release plus light_barrier on the
   // asymmetric path, whose StoreLoad edge the scan's heavy barrier restores
   // (DESIGN.md §5).
-  void publish(unsigned idx, T value, asymfence::Path fences) noexcept {
+  [[gnu::always_inline]] void publish(unsigned idx, T value,
+                                      asymfence::Path fences) noexcept {
     if (fences == asymfence::Path::kClassic) {
       v[idx].store(value, std::memory_order_seq_cst);
     } else {
@@ -119,25 +120,22 @@ struct alignas(kFalseSharingRange) SlotBlock {
   // Copies slot i to slot j.  Scans read slots in ascending order, so a
   // copy toward a higher index keeps the value visible in at least one slot
   // (paper §3.2, DESIGN.md §4).
-  void dup(unsigned i, unsigned j) noexcept {
+  [[gnu::always_inline]] void dup(unsigned i, unsigned j) noexcept {
     assert(i < j && "SCOT requires ascending-index dup (paper §3.2)");
     v[j].store(v[i].load(std::memory_order_relaxed),
                std::memory_order_release);
   }
 
-  // Resets every slot `used` marks to `idle` and empties the mask (release:
-  // the reserved value stays valid until the store is visible; the owner
-  // reads none of them afterwards).
-  void clear(std::uint32_t& used, T idle) noexcept {
-    while (used != 0) {
-      const unsigned idx = static_cast<unsigned>(__builtin_ctz(used));
-      used &= used - 1;
-      v[idx].store(idle, std::memory_order_release);
-    }
+  // Resets the first `n` slots, the range scans read, to `idle`
+  // (release: the reserved value stays valid until the store is visible;
+  // the owner reads none of them afterwards).  Unconditional: a superset of
+  // whatever the operation wrote, and cheaper than testing each slot.
+  void clear(unsigned n, T idle) noexcept {
+    for (unsigned i = 0; i < n; ++i)
+      v[i].store(idle, std::memory_order_release);
   }
 };
 
-static_assert(kMaxSlots <= 32, "used-slot masks are 32 bits wide");
 static_assert(alignof(SlotBlock<ReclaimNode*>) == kFalseSharingRange);
 static_assert(sizeof(SlotBlock<ReclaimNode*>) % kFalseSharingRange == 0);
 static_assert(alignof(SlotBlock<std::uint64_t>) == kFalseSharingRange);

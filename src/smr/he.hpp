@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 
 #include "common/asymfence.hpp"
@@ -65,7 +66,11 @@ class HeHandle : public LimboHandle<HeDomain, HeHandle> {
   // free under both disciplines.
   void begin_op() noexcept {}
 
-  void end_op() noexcept { slots_.clear(used_mask_, kIdleEra); }
+  // Idles the whole scanned range: a superset of the slots this operation
+  // wrote, so protect/publish/dup keep no bookkeeping.
+  void end_op() noexcept {
+    slots_.clear(dom_->cfg_.slots_per_thread, kIdleEra);
+  }
 
   // HE get_protected: loop until the global era observed after the load
   // equals the era published in the slot.  When the era is already
@@ -77,33 +82,31 @@ class HeHandle : public LimboHandle<HeDomain, HeHandle> {
   // heavy barrier before collect_eras() (DESIGN.md §5).
   // `Src` is std::atomic<P> or StableAtomic<P>.
   template <class Src, class P = typename Src::value_type>
-  P protect(const Src& src, unsigned idx) noexcept {
+  [[gnu::always_inline]] P protect(const Src& src, unsigned idx) noexcept {
+    assert(idx < dom_->cfg_.slots_per_thread);
     std::uint64_t prev = slots_.v[idx].load(std::memory_order_relaxed);
     const asymfence::Path fences = dom_->fence_path_;
     for (;;) {
       P v = src.load(std::memory_order_acquire);
       const std::uint64_t e = dom_->clock_.load(std::memory_order_seq_cst);
-      if (e == prev) {
-        used_mask_ |= 1u << idx;
-        return v;
-      }
+      if (e == prev) return v;
       slots_.publish(idx, e, fences);
       prev = e;
     }
   }
 
   template <class T>
-  void publish(T* /*p*/, unsigned idx) noexcept {
+  [[gnu::always_inline]] void publish(T* /*p*/, unsigned idx) noexcept {
+    assert(idx < dom_->cfg_.slots_per_thread);
     // Publishing the current era protects everything alive at it,
     // including the immortal anchor this is used for.
     slots_.publish(idx, dom_->clock_.load(std::memory_order_acquire),
                    dom_->fence_path_);
-    used_mask_ |= 1u << idx;
   }
 
-  void dup(unsigned i, unsigned j) noexcept {
+  [[gnu::always_inline]] void dup(unsigned i, unsigned j) noexcept {
+    assert(j < dom_->cfg_.slots_per_thread);
     slots_.dup(i, j);
-    used_mask_ |= 1u << j;
   }
 
   static constexpr bool op_valid() noexcept { return true; }
@@ -150,11 +153,10 @@ class HeHandle : public LimboHandle<HeDomain, HeHandle> {
     return it != snapshot_.end() && *it <= retire;
   }
 
-  // Per-thread era slots, inline and line-isolated (SlotBlock); scans read
-  // the first cfg.slots_per_thread.  Reused across join/leave cycles.
+  // Per-thread era slots, inline and line-isolated (SlotBlock); scans read,
+  // and end_op() clears, the first cfg.slots_per_thread.  Reused across
+  // join/leave cycles.
   SlotBlock<std::uint64_t> slots_;
-  // Owner-only: the slots this operation published, cleared by end_op().
-  std::uint32_t used_mask_ = 0;
   // Scan scratch, reused across scans; grows with the registry.
   ChunkedList<std::uint64_t> snapshot_;
 };

@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 
 #include "common/asymfence.hpp"
@@ -101,12 +102,14 @@ class HpHandle
 
   void begin_op() noexcept {}
 
-  // Clears every slot this operation touched.
-  void end_op() noexcept { slots_.clear(used_mask_, nullptr); }
+  // Clears the whole scanned range: a superset of the slots this operation
+  // wrote, so protect/publish/dup keep no bookkeeping.
+  void end_op() noexcept { slots_.clear(dom_->cfg_.slots_per_thread, nullptr); }
 
   // `Src` is std::atomic<P> or StableAtomic<P> (pool-recycled link words).
   template <class Src, class P = typename Src::value_type>
-  P protect(const Src& src, unsigned idx) noexcept {
+  [[gnu::always_inline]] P protect(const Src& src, unsigned idx) noexcept {
+    assert(idx < dom_->cfg_.slots_per_thread);
     P cur = src.load(std::memory_order_acquire);
     const asymfence::Path fences = dom_->fence_path_;
     if (fences == asymfence::Path::kClassic) {
@@ -134,21 +137,20 @@ class HpHandle
         cur = again;
       }
     }
-    used_mask_ |= 1u << idx;
     return cur;
   }
 
   // Non-validating publication, for immortal anchors (sentinel nodes that
   // are never retired).  Do NOT use for reclaimable nodes.
   template <class T>
-  void publish(T* p, unsigned idx) noexcept {
+  [[gnu::always_inline]] void publish(T* p, unsigned idx) noexcept {
+    assert(idx < dom_->cfg_.slots_per_thread);
     slots_.publish(idx, smr_raw(p), dom_->fence_path_);
-    used_mask_ |= 1u << idx;
   }
 
-  void dup(unsigned i, unsigned j) noexcept {
+  [[gnu::always_inline]] void dup(unsigned i, unsigned j) noexcept {
+    assert(j < dom_->cfg_.slots_per_thread);
     slots_.dup(i, j);
-    used_mask_ |= 1u << j;
   }
 
   static constexpr bool op_valid() noexcept { return true; }
@@ -188,10 +190,9 @@ class HpHandle
   friend Domain;
 
   // Per-thread hazard slots, inline and line-isolated (SlotBlock); scans
-  // read the first cfg.slots_per_thread.  Reused across join/leave cycles.
+  // read, and end_op() clears, the first cfg.slots_per_thread.  Reused
+  // across join/leave cycles.
   SlotBlock<ReclaimNode*> slots_;
-  // Owner-only: the slots this operation published, cleared by end_op().
-  std::uint32_t used_mask_ = 0;
   // HPopt scratch, reused across scans; grows with the registry.
   ChunkedList<ReclaimNode*> snapshot_;
 };

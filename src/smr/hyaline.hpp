@@ -115,7 +115,7 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
 
   // `Src` is std::atomic<P> or StableAtomic<P> (pool-recycled link words).
   template <class Src, class P = typename Src::value_type>
-  P protect(const Src& src, unsigned /*idx*/) noexcept {
+  [[gnu::always_inline]] P protect(const Src& src, unsigned) noexcept {
     P v = src.load(std::memory_order_acquire);
     ReclaimNode* n = smr_raw(v);
     if (n != nullptr && birth_era_of(n) > era_local_) {

@@ -96,7 +96,7 @@ class IbrHandle : public LimboHandle<IbrDomain, IbrHandle> {
   // barrier scans issue before collect_intervals() (DESIGN.md §5).
   // `Src` is std::atomic<P> or StableAtomic<P>.
   template <class Src, class P = typename Src::value_type>
-  P protect(const Src& src, unsigned /*idx*/) noexcept {
+  [[gnu::always_inline]] P protect(const Src& src, unsigned) noexcept {
     const asymfence::Path fences = dom_->fence_path_;
     for (;;) {
       P v = src.load(std::memory_order_acquire);

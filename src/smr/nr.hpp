@@ -37,7 +37,7 @@ class NrHandle : public HandleCore<NoReclaimDomain, NrHandle> {
 
   // `Src` is std::atomic<P> or StableAtomic<P> (pool-recycled link words).
   template <class Src, class P = typename Src::value_type>
-  P protect(const Src& src, unsigned /*idx*/) noexcept {
+  [[gnu::always_inline]] P protect(const Src& src, unsigned) noexcept {
     return src.load(std::memory_order_acquire);
   }
   template <class T>

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "tests/test_util.hpp"
 
@@ -120,9 +121,9 @@ TEST(HpEdge, ProtectTracksSourceChanges) {
   h.dealloc_unpublished(b);
 }
 
-// Slot schemes track used slots in a 32-bit mask, so every domain refuses a
-// slot count outside [1, 32] at construction.  At 32 the last array element
-// and mask bit 31 must publish, dup, scan and clear like any other slot.
+// Slot schemes hold their slots in one inline kMaxSlots array, so every
+// domain refuses a slot count outside [1, 32] at construction.  At 32 the
+// last array element must publish, dup, scan and clear like any other slot.
 TEST(SlotConfig, DomainRejectsSlotCountsOutsideOneTo32) {
   auto cfg = test::small_config(2);
   cfg.slots_per_thread = 33;
@@ -185,6 +186,78 @@ TEST(SlotConfig, DomainRejectsSlotCountsOutsideOneTo32) {
         return out;
       },
       [](const HeDomain& smr, ReclaimNode*) { return smr.era(); });
+}
+
+// end_op() resets the whole scanned range instead of tracking the slots an
+// operation wrote, so every role a guard can allocate must come back idle,
+// whichever per-node call wrote it.
+template <class Smr>
+class SlotClearTest : public ::testing::Test {
+ protected:
+  static SmrConfig eight_slots() {
+    auto cfg = test::small_config(2);
+    cfg.slots_per_thread = 8;
+    return cfg;
+  }
+
+  // What a scan would see in the slots right now, in slot order.
+  static auto published(const Smr& smr) {
+    if constexpr (std::is_same_v<Smr, HeDomain>) {
+      std::vector<std::uint64_t> out;
+      smr.collect_eras(out);
+      return out;
+    } else {
+      std::vector<ReclaimNode*> out;
+      smr.collect_hazards(out);
+      return out;
+    }
+  }
+};
+
+using SlotSchemes = ::testing::Types<HpDomain, HpOptDomain, HeDomain>;
+TYPED_TEST_SUITE(SlotClearTest, SlotSchemes);
+
+TYPED_TEST(SlotClearTest, SlotsClearAfterGuardedOp) {
+  TypeParam smr(this->eight_slots());
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
+  auto* a = h.template alloc<TestNode>(std::uint64_t{1});
+  std::atomic<TestNode*> src{a};
+  {
+    TraversalGuard<typename TypeParam::Handle> g(h);
+    std::vector<ProtectionSlot<typename TypeParam::Handle, TestNode>> roles;
+    for (unsigned i = 0; i < 8; ++i)
+      roles.push_back(g.template slot<TestNode>());
+    EXPECT_EQ(roles[0].protect(src).get(), a);
+    roles[1].publish(a);
+    roles[2].dup_from(roles[0]);
+    roles[3].dup_from(roles[1]);
+    EXPECT_EQ(roles[4].protect(src).get(), a);
+    roles[5].dup_from(roles[4]);
+    roles[6].publish(a);
+    roles[7].dup_from(roles[6]);
+    EXPECT_EQ(this->published(smr).size(), 8u) << "all 8 roles published";
+  }
+  EXPECT_TRUE(this->published(smr).empty())
+      << "the guard's end_op must reset every role";
+  h.dealloc_unpublished(a);
+}
+
+TYPED_TEST(SlotClearTest, ListLeavesNoSlotPublished) {
+  using Key = std::uint64_t;
+  TypeParam smr(this->eight_slots());
+  HarrisList<Key, Key, TypeParam, HarrisListWaitFreeTraits> list(smr);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
+  for (Key k = 0; k < 8; ++k) ASSERT_TRUE(list.insert(h, k, k));
+  // The marked chain 2 -> 3 -> 4 sends both traversals through the
+  // dangerous zone.
+  for (Key k : {2, 3, 4}) ASSERT_TRUE(list.debug_mark_only(h, k));
+  EXPECT_FALSE(list.contains(h, 3));
+  EXPECT_TRUE(list.contains(h, 5));
+  EXPECT_TRUE(this->published(smr).empty()) << "after contains";
+  EXPECT_TRUE(list.insert(h, 4, 44));
+  EXPECT_TRUE(this->published(smr).empty()) << "after insert";
 }
 
 TEST(IbrEdge, UpperBoundWidensDuringOperation) {
