@@ -8,10 +8,10 @@
 //
 // Each worker opens one store.session() (joining every shard's SMR domain
 // once) and then routes by key hash: top 16 bits pick the shard, the rest
-// pick the bucket.  The stores start deliberately tiny so the run crosses
-// several incremental-resize rounds — retired bucket chains flow through
-// the same per-shard reclamation domains as erased entries, which is the
-// point of the subsystem.
+// pick the bucket.  The stores start deliberately tiny so each shard's
+// table doubles several times while the workers run; a doubling is one
+// CAS on the bucket count, and new buckets link their sentinels into the
+// shard's split-ordered list on first use.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -71,10 +71,8 @@ int main(int argc, char** argv) {
   std::printf("entries=%zu buckets=%zu (started at %u x %zu)\n",
               store->size_unsafe(), store->bucket_count(), shards,
               options.initial_buckets_per_shard);
-  std::printf("migrated_buckets=%llu pending_migration=%llu "
-              "pending_nodes=%lld\n",
+  std::printf("migrated_buckets=%llu pending_nodes=%lld\n",
               static_cast<unsigned long long>(store->migrated_buckets()),
-              static_cast<unsigned long long>(store->pending_migration()),
               static_cast<long long>(store->pending_nodes()));
 
   auto session = store->session();

@@ -60,7 +60,7 @@ CaseResult run_one(const CaseConfig& cfg, std::uint64_t run_seed) {
       options.smr = detail::smr_config_for(cfg);
       options.shards = cfg.kv_shards == 0 ? 1 : cfg.kv_shards;
       // Start shards one doubling below their loaded size so every run
-      // exercises (and then retires) at least one incremental-resize round.
+      // grows each table at least once and links the new buckets.
       const std::uint64_t per_shard =
           std::max<std::uint64_t>(1, cfg.key_range / options.shards);
       std::size_t buckets = 16;

@@ -5,9 +5,9 @@
 // examples a realistic key-value workload on top of the SCOT list.  The
 // bucket count is fixed at construction, faithful to the paper's setup.
 // For a growable table use the serving layer's KvHashMap
-// (src/kv/kv_hash_map.hpp): lock-free incremental resize — CAS-installed
-// directory doubling with cooperative per-bucket migration, old buckets
-// retired through the same SMR domain — per the contract in DESIGN.md §10.
+// (src/kv/kv_hash_map.hpp): split-ordered buckets over one SCOT Harris
+// list, where growing is one CAS on the bucket count and no node moves
+// (DESIGN.md §10).
 #pragma once
 
 #include <cstddef>

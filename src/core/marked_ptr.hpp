@@ -1,19 +1,12 @@
 // Tagged pointer for logical deletion.
 //
-// The non-blocking structures in this library steal the three low-order bits
+// The non-blocking structures in this library steal the two low-order bits
 // of their link words (pool cells are 16-byte aligned):
-//  * Harris' list uses bit 0 as the *mark* ("the node owning this link is
-//    logically deleted").
+//  * Harris' list (and KvHashMap's split-ordered list) uses bit 0 as the
+//    *mark* ("the node owning this link is logically deleted").
 //  * The Natarajan-Mittal tree uses bit 0 as the *flag* ("the leaf this edge
 //    points to is being deleted") and bit 1 as the *tag* ("this edge is
 //    frozen as part of a pending chain removal").
-//  * KvHashMap's incremental resize uses bit 2 as the *pend* bit ("this
-//    link belongs to a child chain still under construction by the current
-//    doubling round").  Every word of an in-flight child chain carries it,
-//    it is cleared exactly once when the round's DONE winner seals the
-//    chain, and no post-round mutation ever re-installs it — which is what
-//    lets a stale migration helper's commit CAS (whose expected value
-//    always carries the bit) fail instead of resurrecting an erased key.
 #pragma once
 
 #include <atomic>
@@ -24,9 +17,8 @@
 namespace scot {
 
 inline constexpr std::uintptr_t kMarkBit = 1;  // list mark / tree flag
-inline constexpr std::uintptr_t kTagBit = 2;   // tree tag / kv freeze
-inline constexpr std::uintptr_t kPendBit = 4;  // kv child chain in flight
-inline constexpr std::uintptr_t kBitsMask = kMarkBit | kTagBit | kPendBit;
+inline constexpr std::uintptr_t kTagBit = 2;   // tree tag
+inline constexpr std::uintptr_t kBitsMask = kMarkBit | kTagBit;
 
 template <class T>
 class marked_ptr {
@@ -48,7 +40,6 @@ class marked_ptr {
   constexpr bool marked() const noexcept { return (raw_ & kMarkBit) != 0; }
   constexpr bool flagged() const noexcept { return marked(); }
   constexpr bool tagged() const noexcept { return (raw_ & kTagBit) != 0; }
-  constexpr bool pended() const noexcept { return (raw_ & kPendBit) != 0; }
 
   constexpr marked_ptr clean() const noexcept {
     return from_raw(raw_ & ~kBitsMask);
@@ -59,12 +50,6 @@ class marked_ptr {
   constexpr marked_ptr with_flag() const noexcept { return with_mark(); }
   constexpr marked_ptr with_tag() const noexcept {
     return from_raw(raw_ | kTagBit);
-  }
-  constexpr marked_ptr with_pend() const noexcept {
-    return from_raw(raw_ | kPendBit);
-  }
-  constexpr marked_ptr without_pend() const noexcept {
-    return from_raw(raw_ & ~kPendBit);
   }
   constexpr marked_ptr with_bits(std::uintptr_t bits) const noexcept {
     return from_raw((raw_ & ~kBitsMask) | bits);

@@ -50,9 +50,6 @@ class TypedAnyKv final : public detail::DomainImpl<Smr, detail::AnyKvImpl> {
   std::uint64_t migrated_buckets() const override {
     return map_.migrated_buckets();
   }
-  std::uint64_t pending_migration() const override {
-    return map_.pending_migration();
-  }
 
  private:
   Map map_;

@@ -47,7 +47,6 @@ class AnyKvImpl : public FacadeImpl {
   // Resize observability (kv_store_test and bench_kv assert on these).
   virtual std::size_t bucket_count() const = 0;
   virtual std::uint64_t migrated_buckets() const = 0;
-  virtual std::uint64_t pending_migration() const = 0;
 };
 
 }  // namespace detail
@@ -97,13 +96,10 @@ class AnyKv : public detail::Facade<detail::AnyKvImpl> {
     return impl_->put_ok(key, value);
   }
 
-  // Quiesces in-flight bucket migrations, then iterates (tests only).
+  // Walks the shard's list; call only with no operation in flight (tests).
   std::size_t size_unsafe() { return impl_->size_unsafe(); }
   std::size_t bucket_count() const { return impl_->bucket_count(); }
   std::uint64_t migrated_buckets() const { return impl_->migrated_buckets(); }
-  std::uint64_t pending_migration() const {
-    return impl_->pending_migration();
-  }
 
  private:
   AnyKv(SchemeId scheme, StructureId structure,

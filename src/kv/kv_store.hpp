@@ -1,12 +1,12 @@
 // scot::KvStore — the serving-layer facade: N independent AnyKv shards,
 // each a (scheme × structure) AnyKv cell with its own SMR domain, its
-// own NodePool, and its own incremental-resize state (DESIGN.md §10).
+// own NodePool, and its own split-ordered bucket table (DESIGN.md §10).
 //
 // Routing.  Keys hash once (kv_hash); the TOP 16 bits pick the shard and
 // the LOW bits pick the bucket inside the shard, so shard choice and
 // bucket choice never correlate even for adversarial key sets.  Shards are
 // fully independent: there is no cross-shard synchronisation on any
-// operation path, and a resize round in one shard never touches another.
+// operation path, and growing one shard's table never touches another.
 //
 // SmrConfig inheritance.  KvStoreOptions.smr is handed verbatim to every
 // shard's domain, so one knob configures the whole store: with
@@ -131,11 +131,6 @@ class KvStore {
   std::uint64_t migrated_buckets() const {
     std::uint64_t n = 0;
     for (const AnyKv& s : shards_) n += s.migrated_buckets();
-    return n;
-  }
-  std::uint64_t pending_migration() const {
-    std::uint64_t n = 0;
-    for (const AnyKv& s : shards_) n += s.pending_migration();
     return n;
   }
   // One snapshot folded over every shard domain (StatsSnapshot::merge_from:

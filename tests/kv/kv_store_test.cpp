@@ -1,13 +1,14 @@
 // scot::kv — semantics of the string-keyed resizable shard (AnyKv /
 // KvHashMap) and the sharded KvStore facade, across every registered
 // scheme.  The hammer at the bottom is the concurrent
-// resize-vs-op-vs-session-churn witness ISSUE 9 asks for: writers keep a
-// must-survive key set while churn threads update/erase a volatile range,
-// session churners join and leave the shard domains, and the directory
-// doubles repeatedly underneath all of them.
+// growth-vs-op-vs-session-churn witness: writers keep a must-survive key
+// set while churn threads update/erase a volatile range, session churners
+// join and leave the shard domains, and the bucket count doubles
+// repeatedly underneath all of them.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <mutex>
 #include <string>
@@ -55,6 +56,42 @@ TEST(KvHash, HashAvalanchesLowAndHighBits) {
   EXPECT_NE(a >> 48, b >> 48);
   EXPECT_NE(a & 0xffff, b & 0xffff);
   EXPECT_EQ(kv_hash("abc"), kv_hash(std::string("abc")));
+}
+
+// The split-order invariants the list relies on: at every bucket count n,
+// a pair sorts after its own bucket's sentinel and before the next
+// sentinel in split order, and a bucket's parent sorts before it (so a
+// sentinel can always be linked from its parent, and an op can always
+// fall back to the parent).
+TEST(KvHash, SplitOrderKeysPlacePairsInsideTheirBucket) {
+  Xoshiro256 rng(0x5eed);
+  for (unsigned k = 1; k <= 20; ++k) {
+    const std::uint64_t n = std::uint64_t{1} << k;
+    const std::uint64_t step = std::uint64_t{1} << (64 - k);
+    for (int i = 0; i < 200; ++i) {
+      const std::uint64_t h = rng.next();
+      const std::uint64_t b = h & (n - 1);
+      const std::uint64_t own = kv_sentinel_key(b);
+      const std::uint64_t pair = kv_pair_key(h);
+      ASSERT_LT(own, pair) << "n=" << n << " h=" << h;
+      // The next sentinel in split order among n buckets, if any.
+      if (own + step != 0) {
+        const std::uint64_t succ = own + step;
+        ASSERT_LT(kv_reverse_bits(succ), n);
+        ASSERT_EQ(kv_sentinel_key(kv_reverse_bits(succ)), succ);
+        ASSERT_LT(pair, succ) << "n=" << n << " h=" << h;
+      }
+      for (int j = 0; j < 16; ++j) {
+        const std::uint64_t other = kv_sentinel_key(rng.next_in(n));
+        if (other > own) {
+          ASSERT_LT(pair, other) << "n=" << n << " h=" << h;
+        }
+      }
+      if (b != 0) {
+        ASSERT_LT(kv_sentinel_key(b ^ std::bit_floor(b)), own) << "b=" << b;
+      }
+    }
+  }
 }
 
 TEST(AnyKv, EverySchemeRegistersTheKvCell) {
@@ -133,8 +170,7 @@ TEST(AnyKv, ResizeGrowsTheDirectoryAndKeepsEveryKey) {
     for (unsigned i = 0; i < kKeys; ++i)
       ASSERT_TRUE(s.put(key_of(i), value_of(i)));
   }
-  EXPECT_EQ(kv->size_unsafe(), kKeys);  // also drains in-flight migrations
-  EXPECT_EQ(kv->pending_migration(), 0u);
+  EXPECT_EQ(kv->size_unsafe(), kKeys);
   EXPECT_GT(kv->bucket_count(), 2u);
   EXPECT_GT(kv->migrated_buckets(), 0u);
   {
@@ -200,12 +236,9 @@ TEST(KvStore, StatsAggregateAcrossShardDomains) {
   EXPECT_EQ(store->size_unsafe(), 0u);
 }
 
-// Regression for the insert_copy ABA: a stale migration helper that slept
-// between its child-chain walk and its commit CAS must not resurrect a key
-// that a client erased after the round completed (the kPendBit discipline
-// makes the stale commit fail).  Checkers put+erase their own key and must
-// never see it again, while driver threads force back-to-back doubling
-// rounds underneath them.
+// Erase against growth: checkers put+erase their own key and must never
+// see it again, while writer threads keep the bucket count doubling and
+// new sentinels linking into the list around the checkers' nodes.
 TEST(KvStore, EraseStaysErasedDuringResizeStorm) {
   const int kCheckIters = scaled_iters(2000, 10);
   const unsigned kDriverKeys = static_cast<unsigned>(scaled_iters(6000, 16));
@@ -227,7 +260,7 @@ TEST(KvStore, EraseStaysErasedDuringResizeStorm) {
     auto s = store->session();
     if (t < 2) {
       // Drivers: unique keys keep the load factor over the doubling
-      // threshold so migration rounds run for the whole test.
+      // threshold so the table grows for the whole test.
       for (unsigned i = 0; i < kDriverKeys && !failed.load(); ++i)
         s.put(key_of(t * 1000000u + i), value_of(i));
     } else {
@@ -243,15 +276,11 @@ TEST(KvStore, EraseStaysErasedDuringResizeStorm) {
   });
   ASSERT_FALSE(failed.load()) << fail_what;
   EXPECT_EQ(store->size_unsafe(), 2u * kDriverKeys);
-  EXPECT_EQ(store->pending_migration(), 0u);
 }
 
-// Regression for the resize-claim races: drainers hammer size_unsafe()
-// (which runs drain_migrations) while writers start round after round.  A
-// stale claimant publishing over a later generation used to wedge pending_
-// at a count nothing decrements — this test then hangs in drain — and the
-// claimed-but-unpublished window used to be a hot spin; now drainers help
-// publish or yield through it.
+// size_unsafe() against growth: one thread walks the list over and over
+// while writers double the bucket count and link sentinels; every walk
+// must terminate, and the quiesced count must be exact.
 TEST(KvStore, DrainRacesRoundClaimsWithoutWedging) {
   const unsigned kDriverKeys = static_cast<unsigned>(scaled_iters(4000, 16));
   KvStoreOptions o;
@@ -269,23 +298,64 @@ TEST(KvStore, DrainRacesRoundClaimsWithoutWedging) {
         s.put(key_of(t * 1000000u + i), value_of(i));
       writers_done.fetch_add(1);
     } else {
-      // Drainer: every call must terminate with the in-flight round (if
-      // any) fully migrated, even when it interleaves with claim CASes.
+      // Walker: every call must terminate while the list grows under it.
       do {
         store->size_unsafe();
       } while (writers_done.load() < 3);
     }
   });
   EXPECT_EQ(store->size_unsafe(), 3u * kDriverKeys);
-  EXPECT_EQ(store->pending_migration(), 0u);
   EXPECT_GT(store->bucket_count(), 2u);
 }
 
-// The ISSUE 9 hammer: concurrent resize vs. operations vs. session churn.
-// Two writer threads own disjoint must-survive ranges; two churn threads
-// update/erase/reinsert a shared volatile range; one session-churn thread
-// opens and closes short-lived sessions in a loop.  The shard starts at 2
-// buckets, so the directory doubles many times while all of this runs.
+// Lazy bucket linking under contention.  A single-threaded load ends just
+// past a doubling, so most buckets of the final count have no sentinel
+// yet; then every reader gets every key in the same order, so the readers
+// race to claim each bucket and the losers start from the parent bucket.
+TEST(KvStore, ConcurrentFirstTouchOfUnlinkedBuckets) {
+  // 4 * 2^k + 1 keys: the last put doubles the table to 2^(k+1) buckets.
+  const unsigned kKeys = 4u * static_cast<unsigned>(scaled_iters(2048, 8)) + 1;
+  for (const SchemeId scheme : kAllSchemes) {
+    SCOPED_TRACE(scheme_name(scheme));
+    KvStoreOptions o;
+    o.smr = small_config(8);
+    o.shards = 1;
+    o.initial_buckets_per_shard = 2;
+    auto store = KvStore::make(scheme, StructureId::kKvHash, o);
+    ASSERT_TRUE(store.has_value());
+    {
+      auto s = store->session();
+      for (unsigned i = 0; i < kKeys; ++i)
+        ASSERT_TRUE(s.put(key_of(i), value_of(i)));
+    }
+    const std::size_t linked_after_load = store->migrated_buckets();
+    ASSERT_LT(linked_after_load + (kKeys - 1) / 8, store->bucket_count());
+
+    std::atomic<bool> failed{false};
+    std::mutex fail_mu;
+    std::string fail_what;
+    run_threads(4, [&](unsigned) {
+      auto s = store->session();
+      std::string v;
+      for (unsigned i = 0; i < kKeys && !failed.load(); ++i) {
+        if (!s.get(key_of(i), &v) || v != value_of(i)) {
+          std::lock_guard<std::mutex> lk(fail_mu);
+          if (!failed.exchange(true)) fail_what = "get " + key_of(i);
+        }
+      }
+    });
+    ASSERT_FALSE(failed.load()) << fail_what;
+    EXPECT_EQ(store->size_unsafe(), kKeys);
+    EXPECT_GT(store->migrated_buckets(), linked_after_load);
+    EXPECT_LE(store->migrated_buckets(), store->bucket_count() - 2);
+  }
+}
+
+// Concurrent growth vs. operations vs. session churn.  Two writer threads
+// own disjoint must-survive ranges; two churn threads update/erase/reinsert
+// a shared volatile range; one session-churn thread opens and closes
+// short-lived sessions in a loop.  The shard starts at 2 buckets, so the
+// bucket count doubles many times while all of this runs.
 class KvHammerTest : public ::testing::TestWithParam<SchemeId> {};
 
 TEST_P(KvHammerTest, ConcurrentResizeOpsAndSessionChurn) {
@@ -367,8 +437,8 @@ TEST_P(KvHammerTest, ConcurrentResizeOpsAndSessionChurn) {
   });
   ASSERT_FALSE(failed.load()) << fail_what;
 
-  // Quiesced: every must-survive key is present with its exact value, the
-  // volatile range is consistent, and no migration round is stuck.
+  // Quiesced: every must-survive key is present with its exact value, and
+  // the volatile range is consistent.
   {
     auto s = store->session();
     for (unsigned t = 0; t < 2; ++t) {
@@ -388,7 +458,6 @@ TEST_P(KvHammerTest, ConcurrentResizeOpsAndSessionChurn) {
   const std::size_t size = store->size_unsafe();
   EXPECT_GE(size, 2u * kStablePerWriter);
   EXPECT_LE(size, 2u * kStablePerWriter + kVolatile + 64);
-  EXPECT_EQ(store->pending_migration(), 0u);
   EXPECT_GT(store->bucket_count(), 2u * o.shards);
 
   // Bounded pending garbage: with all sessions closed the domains may hold
