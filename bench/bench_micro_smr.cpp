@@ -28,11 +28,11 @@
 //                        mode.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/report/report.hpp"
@@ -219,11 +219,10 @@ LatencySample measure_loop(Body&& body) {
 }
 
 template <class Smr>
-LatencySample measure_protect(bool asym, bool track_stats = true) {
+LatencySample measure_protect(bool asym) {
   SmrConfig cfg;
   cfg.max_threads = 2;
   cfg.asymmetric_fences = asym;
-  cfg.track_stats = track_stats;
   Smr smr(cfg);
   auto sh = scoped_handle(smr);
   auto& h = sh.get();
@@ -243,11 +242,10 @@ LatencySample measure_protect(bool asym, bool track_stats = true) {
 // first slot publish, so begin_op alone would measure zero for exactly the
 // scheme whose activation store the asymmetric discipline relaxes.
 template <class Smr>
-LatencySample measure_activation(bool asym, bool track_stats = true) {
+LatencySample measure_activation(bool asym) {
   SmrConfig cfg;
   cfg.max_threads = 2;
   cfg.asymmetric_fences = asym;
-  cfg.track_stats = track_stats;
   Smr smr(cfg);
   auto sh = scoped_handle(smr);
   auto& h = sh.get();
@@ -290,35 +288,6 @@ void record_sample(bench::BenchReport& report, const char* label,
               unit, s.cycles_per_op);
 }
 
-// Stats-overhead guard (report-only): the telemetry counters live on the
-// retire/scan/join/leave paths, never on protect()/begin_op(), so the asym
-// fast path with track_stats on must cost the same as with it off.  A >2%
-// delta is almost certainly a regression that put a counter on the fast
-// path.  The measured delta is the binary's noise floor and is recorded in
-// the report meta (noise_floor_pct) so downstream diffs can calibrate; the
-// loud warning is only printed on hosts with real parallelism — on a
-// 1-hardware-thread container the sweep measures scheduler jitter, not
-// counter cost, and the warning would cry wolf on every CI run.  Returns
-// the worst (most positive) delta seen across the two sweeps.
-template <class Smr>
-double sweep_stats_overhead(bench::SchemeId id, bool warn) {
-  const auto pct = [](const LatencySample& on, const LatencySample& off) {
-    return off.ns_per_op > 0
-               ? (on.ns_per_op - off.ns_per_op) / off.ns_per_op * 100.0
-               : 0.0;
-  };
-  const double protect_pct =
-      pct(measure_protect<Smr>(true, true), measure_protect<Smr>(true, false));
-  const double act_pct = pct(measure_activation<Smr>(true, true),
-                             measure_activation<Smr>(true, false));
-  std::printf("  %-6s protect %+6.2f%%  begin_op %+6.2f%%%s\n",
-              bench::scheme_name(id), protect_pct, act_pct,
-              warn && (protect_pct > 2.0 || act_pct > 2.0)
-                  ? "   ** WARNING: stats overhead >2% on asym fast path **"
-                  : "");
-  return std::max(protect_pct, act_pct);
-}
-
 int run_latency_sweep(const std::string& json_path) {
   bench::BenchReport report;
   std::printf("   fence path when asymmetric: %s\n",
@@ -341,22 +310,6 @@ int run_latency_sweep(const std::string& json_path) {
                       measure_activation<Smr>(asym), "op");
     });
   }
-  std::printf(
-      "== stats overhead (asym path, track_stats on vs off; guard <2%%) "
-      "==\n");
-  const bool warn = report.meta().hardware_threads > 1;
-  double floor = 0.0;
-  for (const bench::SchemeId id : kAllSchemes) {
-    floor = std::max(floor, with_scheme(id, [&]<class Smr>() {
-                       return sweep_stats_overhead<Smr>(id, warn);
-                     }));
-  }
-  report.meta().noise_floor_pct = floor;
-  if (!warn)
-    std::printf(
-        "  (1 hardware thread: deltas above are scheduler jitter; warning "
-        "suppressed, noise floor %.2f%% recorded in report meta)\n",
-        floor);
   std::string error;
   if (!report.write_file(json_path, &error)) {
     std::fprintf(stderr, "failed to write %s: %s\n", json_path.c_str(),

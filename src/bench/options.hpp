@@ -1,4 +1,4 @@
-// Benchmark-harness configuration shared by every figure/table binary.
+// Benchmark-harness configuration shared by bench_cli and scot_figs.
 //
 // Scheme/structure identity — the enums, the name tables, and the reverse
 // lookups — lives in the library's runtime registries (src/smr/registry.hpp
@@ -65,9 +65,9 @@ inline std::optional<WorkloadMix> preset_from_name(std::string_view name) {
   if (name == "mixed") return WorkloadMix{50, 25, 25};
   if (name == "read-mostly") return WorkloadMix{90, 5, 5};
   if (name == "write-heavy") return WorkloadMix{10, 45, 45};
-  // YCSB-shaped serving mixes (bench_kv).  The middle component is the
+  // YCSB-shaped serving mixes (scot_figs kv).  The middle component is the
   // write share: the kv harness issues it as put() (update-or-insert), the
-  // integer-keyed binaries as insert.  YCSB A/B/C have no deletes.
+  // integer-keyed grids as insert.  YCSB A/B/C have no deletes.
   if (name == "ycsb-a") return WorkloadMix{50, 50, 0};
   if (name == "ycsb-b") return WorkloadMix{95, 5, 0};
   if (name == "ycsb-c") return WorkloadMix{100, 0, 0};
@@ -109,8 +109,8 @@ struct CaseConfig {
   bool background_reclaim = smr_config_detail::bg_reclaim_default();
   unsigned reclaim_interval_us = 100;   // --reclaim-interval-us <n>
   std::uint64_t memory_target = 0;      // --memory-target <nodes>; 0 = off
-  // Serving-layer (bench_kv) shape.  0 means "not a kv case": the fields
-  // stay out of cell keys and JSON diffs for the integer-keyed binaries,
+  // Serving-layer (scot_figs kv) shape.  0 means "not a kv case": the fields
+  // stay out of cell keys and JSON diffs for the integer-keyed grids,
   // so pre-v4 baselines keep diffing clean.
   std::size_t value_size = 0;   // --value-size <bytes>: kv value payload
   std::size_t key_len = 0;      // --key-len <bytes>: kv key width (padded)
@@ -163,6 +163,12 @@ inline constexpr const char* kCliUsage =
     "<seconds> <keyrange> "
     "<runs> <read%> <ins%> <del%> <NR|EBR|HP|HPopt|HE|IBR|HLN> <threads>";
 
+// Upper bound on a run's thread count, on the command line and in
+// SCOT_BENCH_THREADS alike: every domain allocates per-thread state arrays
+// sized by max_threads, so a huge-but-representable count is a memory bomb
+// rather than merely slow.
+inline constexpr long long kMaxThreads = 4096;
+
 // Whole-string decimal parse; rejects "", " 42", "4x", "1.5", overflow.
 inline bool parse_decimal(std::string_view sv, long long& out) {
   if (sv.empty()) return false;
@@ -196,17 +202,17 @@ inline bool parse_double(std::string_view sv, double& out) {
   return true;
 }
 
-// --- optional flags shared by bench_cli and the figure binaries -----------
+// --- optional flags shared by bench_cli and scot_figs ----------------------
 //
-// Every bench binary accepts these in addition to (bench_cli) or instead of
-// (figure/table binaries) positional arguments.  Unknown "--" tokens are a
-// hard error: a misspelled flag must never be silently ignored.
+// bench_cli takes these in addition to its positional arguments, scot_figs
+// in addition to its figure name.  Unknown "--" tokens are a hard error: a
+// misspelled flag must never be silently ignored.
 
 struct BenchFlags {
   std::uint64_t seed = 42;             // --seed <n>
   std::string json_path;               // --json <path>; empty = no sink
   std::optional<KeyDist> dist;         // --dist uniform|zipfian; unset =
-                                       // the binary's default (uniform)
+                                       // uniform (zipfian for kv cases)
   double zipf_theta = 0.99;            // --theta <0<θ<1>
   std::optional<WorkloadMix> preset;   // --preset <name> (preset_from_name)
   bool pin = false;                    // --pin: worker-thread CPU affinity
@@ -216,12 +222,12 @@ struct BenchFlags {
                                        // --bg/--no-bg: background reclaimer
   unsigned reclaim_interval_us = 100;  // --reclaim-interval-us <n>
   std::uint64_t memory_target = 0;     // --memory-target <nodes>; 0 = off
-  std::size_t value_size = 0;          // --value-size <bytes>; 0 = binary's
-                                       // default (kv binaries only)
+  std::size_t value_size = 0;          // --value-size <bytes>; 0 = the
+                                       // kv default (kv cases only)
   std::size_t key_len = 0;             // --key-len <bytes>; 0 = default
-  unsigned kv_shards = 0;              // --shards <n>; 0 = binary's grid
+  unsigned kv_shards = 0;              // --shards <n>; 0 = the kv grid's
   bool split = false;                  // --split: producer/consumer roles
-                                       // (container binaries only)
+                                       // (container cases only)
   bool help = false;                   // --help seen; caller prints usage
 };
 
@@ -353,7 +359,7 @@ inline bool extract_bench_flags(std::vector<std::string>& args,
 // Copies the per-case flags into a case: seed, key distribution (when
 // given), pinning, op budget, reclamation knobs, the kv and container
 // shape, and (when --preset was given) the workload mix.  The one copy
-// behind parse_cli and the figure binaries' apply_session_flags.
+// behind parse_cli and scot_figs.
 inline void apply_flags(const BenchFlags& f, CaseConfig& cfg) {
   cfg.seed = f.seed;
   if (f.dist) cfg.key_dist = *f.dist;
@@ -405,12 +411,9 @@ inline std::optional<CaseConfig> parse_cli(int argc, const char* const* argv,
 
   // Upper bounds guard the narrowing casts below: cfg.millis is an int and
   // cfg.runs/cfg.threads are unsigned, so "positive" alone is not enough.
-  // Threads get a much tighter cap: every domain allocates per-thread state
-  // arrays sized by max_threads, so a huge-but-representable count is a
-  // memory bomb rather than merely slow.
+  // Threads get the much tighter kMaxThreads.
   constexpr long long kMaxSeconds = std::numeric_limits<int>::max() / 1000;
   constexpr long long kMaxUnsigned = std::numeric_limits<unsigned>::max();
-  constexpr long long kMaxThreads = 4096;
 
   long long seconds, range, runs, read, ins, del, threads;
   if (!parse_decimal(args[1], seconds) || seconds <= 0 ||
@@ -463,10 +466,12 @@ inline std::optional<CaseConfig> parse_cli(int argc, const char* const* argv,
   return cfg;
 }
 
-// --- environment knobs so the figure binaries scale to the host -----------
+// --- environment knobs so the figure grids scale to the host -------------
 // SCOT_BENCH_MS        per-cell duration in milliseconds (default `def_ms`)
 // SCOT_BENCH_THREADS   comma list of thread counts (default "1,2,4,8")
 // SCOT_BENCH_RUNS      runs per cell, median reported (default 1)
+// Each value is parsed whole (parse_decimal); a malformed or out-of-range
+// value falls back to the default.
 
 inline int env_ms(int def_ms) {
   long long v = 0;
@@ -478,31 +483,35 @@ inline int env_ms(int def_ms) {
 }
 
 inline unsigned env_runs() {
-  if (const char* e = std::getenv("SCOT_BENCH_RUNS")) {
-    const int v = std::atoi(e);
-    if (v > 0) return static_cast<unsigned>(v);
-  }
+  long long v = 0;
+  if (const char* e = std::getenv("SCOT_BENCH_RUNS");
+      e != nullptr && parse_decimal(e, v) && v > 0 &&
+      v <= std::numeric_limits<unsigned>::max())
+    return static_cast<unsigned>(v);
   return 1;
 }
 
+// Empty tokens ("1,,2", a trailing comma) are skipped; one malformed token,
+// or one outside [1, kMaxThreads], rejects the whole list.
 inline std::vector<unsigned> env_threads() {
+  const std::vector<unsigned> kDefault{1, 2, 4, 8};
+  const char* e = std::getenv("SCOT_BENCH_THREADS");
+  if (e == nullptr) return kDefault;
+  const std::string_view spec(e);
   std::vector<unsigned> out;
-  std::string spec = "1,2,4,8";
-  if (const char* e = std::getenv("SCOT_BENCH_THREADS")) spec = e;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
+  for (std::size_t pos = 0;;) {
     const std::size_t comma = spec.find(',', pos);
-    const std::string tok =
-        spec.substr(pos, comma == std::string::npos ? comma : comma - pos);
+    const std::string_view tok = spec.substr(pos, comma - pos);
+    long long v = 0;
     if (!tok.empty()) {
-      const long v = std::strtol(tok.c_str(), nullptr, 10);
-      if (v > 0) out.push_back(static_cast<unsigned>(v));
+      if (!parse_decimal(tok, v) || v <= 0 || v > kMaxThreads)
+        return kDefault;
+      out.push_back(static_cast<unsigned>(v));
     }
-    if (comma == std::string::npos) break;
+    if (comma == std::string_view::npos) break;
     pos = comma + 1;
   }
-  if (out.empty()) out = {1, 2, 4, 8};
-  return out;
+  return out.empty() ? kDefault : out;
 }
 
 }  // namespace scot::bench

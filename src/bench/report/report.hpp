@@ -1,7 +1,7 @@
 // BenchReport: run metadata plus one entry per benchmark cell, serialised
 // to the versioned scot-bench JSON schema (documented in README
-// "Bench telemetry & regression gate").  bench_cli and the figure/table
-// binaries write these files; bench_diff reads two of them back.
+// "Bench telemetry & regression gate").  bench_cli and scot_figs write
+// these files; bench_diff reads two of them back.
 #pragma once
 
 #include <optional>
@@ -43,9 +43,10 @@ struct ReportMeta {
   // Whether the binary was compiled with the SMR telemetry counters
   // (SCOT_STATS; DESIGN.md §8).  v2; loads as false from v1 files.
   bool stats_enabled = false;
-  // Measured stats-on vs stats-off throughput delta of this host/binary
-  // (bench_micro_smr sweep).  0 when the binary never measured it; loads
-  // as 0 from files that predate the field.
+  // Stats-on vs stats-off delta of this host/binary.  Nothing measures it
+  // any more (a hot-loop sweep could not tell it from noise), so it is
+  // always written as 0 = "never measured"; kept because the schema is
+  // append-only, and loads as 0 from files that predate the field.
   double noise_floor_pct = 0.0;
 };
 
@@ -74,9 +75,6 @@ class BenchReport {
            const CaseResult& result);
 
   const ReportMeta& meta() const { return meta_; }
-  // Mutable access for binaries that measure meta fields at run time
-  // (bench_micro_smr records the stats noise floor it just swept).
-  ReportMeta& meta() { return meta_; }
   const std::vector<ReportCell>& cells() const { return cells_; }
 
   std::string to_json() const;

@@ -1,4 +1,4 @@
-// Minimal aligned-table printer for the figure/table benchmark binaries.
+// Minimal aligned-table printer for the scot_figs figure/table grids.
 // Output mirrors the series the paper plots: one row per thread count, one
 // column per SMR scheme.
 #pragma once

@@ -76,9 +76,9 @@ std::optional<AnyMap> AnyMap::make(SchemeId scheme, StructureId structure,
             return cell<Smr, SkipList<K, V, Smr>>(options);
           case StructureId::kSkipListEager:
             return cell<Smr, SkipList<K, V, Smr, SkipListEagerTraits>>(options);
-          // Trait-ablation variants (bench_ablation_recovery /
-          // bench_ablation_unroll): real cells, so the ablation binaries
-          // route through run_case() with a real structure identity.
+          // Trait-ablation variants (scot_figs ablation_recovery /
+          // ablation_unroll): real cells, so the ablation grids route
+          // through run_case() with a real structure identity.
           case StructureId::kHListNoRecovery:
             return cell<Smr,
                         HarrisList<K, V, Smr, HarrisListNoRecoveryTraits>>(

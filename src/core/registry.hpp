@@ -75,7 +75,7 @@ inline constexpr StructureId kAllStructures[] = {
     StructureId::kNMTree,  StructureId::kHashMap,  StructureId::kSkipList,
     StructureId::kSkipListEager};
 
-// Trait-ablation variants of the Harris list (bench_ablation_*): real
+// Trait-ablation variants of the Harris list (scot_figs ablation_*): real
 // AnyMap cells with name-resolvable identities so their JSON cells diff
 // cleanly, but deliberately absent from kAllStructures, so no figure grid
 // iterates them.
@@ -91,7 +91,7 @@ inline constexpr StructureId kKvStructures[] = {StructureId::kKvHash};
 // The queue/stack/deque concept (core/ms_queue.hpp, core/treiber_stack.hpp,
 // core/deque.hpp), served through scot::AnyContainer and the per-concept
 // facades.  One table per kind for single-concept grids, plus the combined
-// table bench_containers and the cross-product tests iterate.
+// table scot_figs containers and the cross-product tests iterate.
 inline constexpr StructureId kQueueStructures[] = {StructureId::kMSQueue};
 inline constexpr StructureId kStackStructures[] = {StructureId::kTreiberStack};
 inline constexpr StructureId kDequeStructures[] = {StructureId::kDeque};

@@ -44,7 +44,8 @@ class AnyKvImpl : public FacadeImpl {
   virtual bool get_with(void* h, std::string_view key, std::string* out) = 0;
   virtual bool put_ok(std::string_view key, std::string_view value) const = 0;
   virtual std::size_t size_unsafe() = 0;
-  // Resize observability (kv_store_test and bench_kv assert on these).
+  // Resize observability (kv_store_test asserts on these; perfbench's
+  // traced kv run reads them).
   virtual std::size_t bucket_count() const = 0;
   virtual std::uint64_t migrated_buckets() const = 0;
 };

@@ -414,7 +414,7 @@ TEST(Options, MicroStructureNoneResolvesButIsNotIterable) {
 }
 
 TEST(Options, AblationStructuresResolveButStayOutOfGrids) {
-  // The trait-ablation identities (bench_ablation_*) must round-trip
+  // The trait-ablation identities (scot_figs ablation_*) must round-trip
   // through the name table — their JSON cells are loaded strictly by
   // bench_diff — but never appear in the figure grids or the AnyMap
   // cross-product tests.

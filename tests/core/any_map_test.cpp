@@ -40,8 +40,8 @@ TEST(AnyMap, MakeCoversExactlyTheMapConcept) {
   }
 }
 
-// The trait-ablation variants are real cells (bench_ablation_* routes
-// through run_case / AnyMap), built for every scheme even though the grids
+// The trait-ablation variants are real cells (scot_figs' ablation_* grids
+// route through run_case / AnyMap), built for every scheme even though the grids
 // never iterate them.
 TEST(AnyMap, AblationVariantCellsAreRegisteredAndFunctional) {
   for (SchemeId s : kAllSchemes) {

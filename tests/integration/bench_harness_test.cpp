@@ -124,6 +124,17 @@ TEST(BenchHarness, EnvThreadParsing) {
   EXPECT_EQ(v[2], 7u);
   setenv("SCOT_BENCH_THREADS", "garbage", 1);
   EXPECT_FALSE(env_threads().empty()) << "falls back to defaults";
+  // Malformed, non-positive or above-cap counts (the per-thread state
+  // arrays make kMaxThreads the same ceiling as bench_cli's <threads>)
+  // fall back to the default list rather than running a partial or
+  // oversized row.  Nothing here starts a thread.
+  const std::vector<unsigned> kDefault{1, 2, 4, 8};
+  for (const char* bad : {"2x", "0", "-1", "4097", "100000", "1,2x"}) {
+    setenv("SCOT_BENCH_THREADS", bad, 1);
+    EXPECT_EQ(env_threads(), kDefault) << "SCOT_BENCH_THREADS='" << bad << "'";
+  }
+  setenv("SCOT_BENCH_THREADS", "4096", 1);
+  EXPECT_EQ(env_threads(), std::vector<unsigned>{4096});
   unsetenv("SCOT_BENCH_THREADS");
   EXPECT_EQ(env_threads().size(), 4u);
 }
@@ -141,6 +152,10 @@ TEST(BenchHarness, EnvMsAndRuns) {
   EXPECT_EQ(env_ms(999), 999);
   setenv("SCOT_BENCH_RUNS", "5", 1);
   EXPECT_EQ(env_runs(), 5u);
+  for (const char* bad : {"3x", "0", "-2", "abc"}) {
+    setenv("SCOT_BENCH_RUNS", bad, 1);
+    EXPECT_EQ(env_runs(), 1u) << "SCOT_BENCH_RUNS='" << bad << "'";
+  }
   unsetenv("SCOT_BENCH_RUNS");
   EXPECT_EQ(env_runs(), 1u);
 }
