@@ -1,23 +1,25 @@
-// Microbenchmarks of the SMR primitives: the per-call cost of protect /
-// dup / begin+end / alloc+retire for every scheme.  These expose the
-// mechanism behind the figure-level results: HP pays a fence per protect,
-// HE amortizes it per era change, IBR/Hyaline make dup free, and HPopt's
-// snapshot scan beats HP's per-node rescan on retire-heavy loads.
+// Microbenchmarks of the SMR primitives: the per-node cost of a protected
+// pointer chase, and the per-call cost of dup / begin+end / alloc+retire
+// for every scheme.  These expose the mechanism behind the figure-level
+// results: HP pays a fence per protect on the fence path, HE amortizes it
+// per era change, IBR/Hyaline make dup free, and HPopt's snapshot scan
+// beats HP's per-node rescan on retire-heavy loads.
 //
 // Two modes:
-//  * default           — the google-benchmark suite.  protect/* benchmarks
-//                        take an Arg: 1 = asymmetric fences, 0 = classic
-//                        seq_cst publication.  chase/* is the structure-
-//                        shaped cell: a hand-over-hand walk of 128 nodes of
-//                        a 256-node ring linked in random order, each node
-//                        doing the Harris list's safe-zone steps through a
-//                        TraversalGuard (items/s = nodes walked).
+//  * default           — the google-benchmark suite.  chase/* is the
+//                        structure-shaped cell: a hand-over-hand walk of 128
+//                        nodes of a 256-node ring linked in random order,
+//                        each node doing the Harris list's safe-zone steps
+//                        through a TraversalGuard (items/s = nodes walked).
+//                        It takes an Arg: 1 = asymmetric fences, 0 = the
+//                        fence path (a seq_cst fence per publication).
 //  * --json <path>     — two fixed-iteration latency sweeps per (scheme,
 //                        fence discipline), measured in ns and TSC cycles
-//                        per call and written as scot-bench v1 cells
-//                        (bench "micro_smr", structure "none"):
-//                          protect-latency   — a hot protect() loop (the
-//                                              fenced vs. asymmetric A/B)
+//                        and written as scot-bench v1 cells (bench
+//                        "micro_smr", structure "none"):
+//                          protect-latency   — the chase/* walk, per node
+//                                              visited (the fenced vs.
+//                                              asymmetric A/B)
 //                          begin_op-latency  — operation activation: one
 //                                              begin_op + first protect +
 //                                              end_op per iteration, the
@@ -49,25 +51,59 @@ struct ProbeNode : ReclaimNode {
   std::uint64_t payload = 0;
 };
 
-// --- google-benchmark suite -------------------------------------------------
+struct ChaseNode : ReclaimNode {
+  StableAtomic<marked_ptr<ChaseNode>> next;
+};
 
+// A 256-node ring whose links jump around the pool, so every protect
+// depends on the load before it.  walk() is one operation of the Harris
+// list's per-node safe-zone steps (harris_list.hpp) over kWalk nodes,
+// resuming where the last one stopped.
 template <class Smr>
-void BM_Protect(benchmark::State& state) {
-  SmrConfig cfg;
-  cfg.max_threads = 2;
-  cfg.asymmetric_fences = state.range(0) != 0;
-  Smr smr(cfg);
-  auto sh = scoped_handle(smr);
-  auto& h = sh.get();
-  auto* n = h.template alloc<ProbeNode>();
-  std::atomic<ReclaimNode*> src{n};
-  h.begin_op();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(h.protect(src, 0));
+class ChaseRing {
+ public:
+  static constexpr std::size_t kRing = 256;
+  static constexpr int kWalk = 128;
+
+  explicit ChaseRing(typename Smr::Handle& h) : h_(h) {
+    for (std::size_t i = 0; i < kRing; ++i)
+      ring_.push_back(h.template alloc<ChaseNode>());
+    Xoshiro256 rng(kRing);
+    for (std::size_t i = kRing - 1; i > 0; --i)
+      std::swap(ring_[i], ring_[rng.next_in(i + 1)]);
+    for (std::size_t i = 0; i < kRing; ++i)
+      ring_[i]->next.store(MP(ring_[(i + 1) % kRing]),
+                           std::memory_order_release);
+    from_ = &ring_.back()->next;
   }
-  h.end_op();
-  h.dealloc_unpublished(n);
-}
+  ~ChaseRing() {
+    for (ChaseNode* n : ring_) h_.dealloc_unpublished(n);
+  }
+  ChaseRing(const ChaseRing&) = delete;
+  ChaseRing& operator=(const ChaseRing&) = delete;
+
+  void walk() {
+    TraversalGuard<typename Smr::Handle> g(h_);
+    auto next = g.template slot<ChaseNode>();
+    auto curr = g.template slot<ChaseNode>();
+    auto prev = g.template slot<ChaseNode>();
+    Protected<ChaseNode> n = next.protect(*from_);
+    for (int i = 0; i < kWalk; ++i) {
+      prev.dup_from(curr);
+      curr.dup_from(next);
+      n = next.protect(n->next);
+    }
+    from_ = &n->next;
+  }
+
+ private:
+  using MP = marked_ptr<ChaseNode>;
+  typename Smr::Handle& h_;
+  std::vector<ChaseNode*> ring_;
+  const StableAtomic<MP>* from_ = nullptr;
+};
+
+// --- google-benchmark suite -------------------------------------------------
 
 template <class Smr>
 void BM_Dup(benchmark::State& state) {
@@ -87,49 +123,17 @@ void BM_Dup(benchmark::State& state) {
   h.dealloc_unpublished(n);
 }
 
-struct ChaseNode : ReclaimNode {
-  StableAtomic<marked_ptr<ChaseNode>> next;
-};
-
-// The Harris list's per-node safe-zone steps (harris_list.hpp), on a ring
-// whose links jump around the pool, so every protect depends on the load
-// before it.  Each iteration is one operation that resumes where the last
-// one stopped.
+// Arg: 1 = asymmetric fences, 0 = the fence path.
 template <class Smr>
 void BM_Chase(benchmark::State& state) {
-  constexpr std::size_t kRing = 256;
-  constexpr int kWalk = 128;
-  using MP = marked_ptr<ChaseNode>;
   SmrConfig cfg;
   cfg.max_threads = 2;
+  cfg.asymmetric_fences = state.range(0) != 0;
   Smr smr(cfg);
   auto sh = scoped_handle(smr);
-  auto& h = sh.get();
-  std::vector<ChaseNode*> ring;
-  for (std::size_t i = 0; i < kRing; ++i)
-    ring.push_back(h.template alloc<ChaseNode>());
-  Xoshiro256 rng(kRing);
-  for (std::size_t i = kRing - 1; i > 0; --i)
-    std::swap(ring[i], ring[rng.next_in(i + 1)]);
-  for (std::size_t i = 0; i < kRing; ++i)
-    ring[i]->next.store(MP(ring[(i + 1) % kRing]), std::memory_order_release);
-
-  const StableAtomic<MP>* from = &ring.back()->next;
-  for (auto _ : state) {
-    TraversalGuard<typename Smr::Handle> g(h);
-    auto next = g.template slot<ChaseNode>();
-    auto curr = g.template slot<ChaseNode>();
-    auto prev = g.template slot<ChaseNode>();
-    Protected<ChaseNode> n = next.protect(*from);
-    for (int i = 0; i < kWalk; ++i) {
-      prev.dup_from(curr);
-      curr.dup_from(next);
-      n = next.protect(n->next);
-    }
-    from = &n->next;
-  }
-  state.SetItemsProcessed(state.iterations() * kWalk);
-  for (ChaseNode* n : ring) h.dealloc_unpublished(n);
+  ChaseRing<Smr> ring(sh.get());
+  for (auto _ : state) ring.walk();
+  state.SetItemsProcessed(state.iterations() * ChaseRing<Smr>::kWalk);
 }
 
 template <class Smr>
@@ -159,14 +163,10 @@ void BM_AllocRetire(benchmark::State& state) {
   }
 }
 
-#define SCOT_REGISTER_SCHEME(scheme)                       \
-  BENCHMARK(BM_Protect<scheme>)                            \
-      ->Name("protect/" #scheme)                           \
-      ->Arg(1)                                             \
-      ->Arg(0);                                            \
-  BENCHMARK(BM_Dup<scheme>)->Name("dup/" #scheme);         \
-  BENCHMARK(BM_Chase<scheme>)->Name("chase/" #scheme);     \
-  BENCHMARK(BM_BeginEndOp<scheme>)->Name("op/" #scheme);   \
+#define SCOT_REGISTER_SCHEME(scheme)                                   \
+  BENCHMARK(BM_Dup<scheme>)->Name("dup/" #scheme);                     \
+  BENCHMARK(BM_Chase<scheme>)->Name("chase/" #scheme)->Arg(1)->Arg(0); \
+  BENCHMARK(BM_BeginEndOp<scheme>)->Name("op/" #scheme);               \
   BENCHMARK(BM_AllocRetire<scheme>)->Name("alloc_retire/" #scheme)
 
 SCOT_REGISTER_SCHEME(NoReclaimDomain);
@@ -194,30 +194,32 @@ struct LatencySample {
   std::uint64_t iters = 0;
 };
 
-// Warmup + timed loop (ns and TSC) around one measured call.  Both sweeps
-// share this scaffolding so their cells stay comparable: any change to the
-// iteration counts or the cycle accounting applies to both.
+// Warmup + timed loop (ns and TSC) around a measured call that does
+// `units` units of work (nodes visited, operations); results are per unit.
+// Both sweeps share this scaffolding so their cells stay comparable: any
+// change to the iteration counts or the cycle accounting applies to both.
 template <class Body>
-LatencySample measure_loop(Body&& body) {
-  constexpr std::uint64_t kWarmup = 1u << 14;
-  constexpr std::uint64_t kIters = 1u << 21;  // ~2M calls per sample
-  for (std::uint64_t i = 0; i < kWarmup; ++i) body();
+LatencySample measure_loop(Body&& body, std::uint64_t units = 1) {
+  constexpr std::uint64_t kWarmup = 1u << 14;  // units
+  constexpr std::uint64_t kUnits = 1u << 21;   // ~2M units per sample
+  for (std::uint64_t i = 0; i < kWarmup / units; ++i) body();
+  const std::uint64_t calls = kUnits / units;
   const std::uint64_t c0 = read_tsc();
   const std::uint64_t t0 = now_ns();
-  for (std::uint64_t i = 0; i < kIters; ++i) body();
+  for (std::uint64_t i = 0; i < calls; ++i) body();
   const std::uint64_t t1 = now_ns();
   const std::uint64_t c1 = read_tsc();
 
   LatencySample s;
-  s.iters = kIters;
+  s.iters = calls * units;
+  const auto n = static_cast<double>(s.iters);
   s.seconds = ns_to_sec(t1 - t0);
-  s.ns_per_op = static_cast<double>(t1 - t0) / static_cast<double>(kIters);
-  s.cycles_per_op =
-      c1 > c0 ? static_cast<double>(c1 - c0) / static_cast<double>(kIters)
-              : 0.0;
+  s.ns_per_op = static_cast<double>(t1 - t0) / n;
+  s.cycles_per_op = c1 > c0 ? static_cast<double>(c1 - c0) / n : 0.0;
   return s;
 }
 
+// The chase/* walk, per node visited.
 template <class Smr>
 LatencySample measure_protect(bool asym) {
   SmrConfig cfg;
@@ -225,15 +227,8 @@ LatencySample measure_protect(bool asym) {
   cfg.asymmetric_fences = asym;
   Smr smr(cfg);
   auto sh = scoped_handle(smr);
-  auto& h = sh.get();
-  auto* n = h.template alloc<ProbeNode>();
-  std::atomic<ReclaimNode*> src{n};
-  h.begin_op();
-  const LatencySample s =
-      measure_loop([&] { benchmark::DoNotOptimize(h.protect(src, 0)); });
-  h.end_op();
-  h.dealloc_unpublished(n);
-  return s;
+  ChaseRing<Smr> ring(sh.get());
+  return measure_loop([&] { ring.walk(); }, ChaseRing<Smr>::kWalk);
 }
 
 // Operation activation: begin_op + the operation's first protect + end_op.
@@ -284,7 +279,7 @@ void record_sample(bench::BenchReport& report, const char* label,
   r.cycles_per_op = s.cycles_per_op;
   report.add("micro_smr", label, cfg, r);
   std::printf("  %-6s %-9s %8.2f ns/%s %9.1f cycles\n",
-              bench::scheme_name(id), asym ? "asym" : "classic", s.ns_per_op,
+              bench::scheme_name(id), asym ? "asym" : "fenced", s.ns_per_op,
               unit, s.cycles_per_op);
 }
 
@@ -292,12 +287,14 @@ int run_latency_sweep(const std::string& json_path) {
   bench::BenchReport report;
   std::printf("   fence path when asymmetric: %s\n",
               asymfence::runtime_path_name());
-  std::printf("== protect-latency: fenced vs. asymmetric ==\n");
+  std::printf(
+      "== protect-latency (256-node random-ring chase, per node visited): "
+      "fenced vs. asymmetric ==\n");
   for (const bench::SchemeId id : kAllSchemes) {
     with_scheme(id, [&]<class Smr>() {
       for (const bool asym : {true, false})
         record_sample(report, "protect-latency", id, asym,
-                      measure_protect<Smr>(asym), "protect");
+                      measure_protect<Smr>(asym), "node");
     });
   }
   std::printf(

@@ -95,8 +95,8 @@ struct CaseConfig {
                                  // bit-reproducible (see bench_determinism_test).
   bool asymmetric_fences = true; // SmrConfig::asymmetric_fences for the run's
                                  // domain; --no-asym turns it off for A/B
-                                 // comparison against the classic seq_cst
-                                 // protect path.
+                                 // comparison against the symmetric
+                                 // (per-publication fence) path.
   unsigned latency_sample_every = 16;  // per-op latency sampling stride: time
                                        // every Nth op into a log-bucketed
                                        // histogram (obs/histogram.hpp) and
@@ -217,7 +217,7 @@ struct BenchFlags {
   std::optional<WorkloadMix> preset;   // --preset <name> (preset_from_name)
   bool pin = false;                    // --pin: worker-thread CPU affinity
   std::uint64_t op_budget = 0;         // --ops <per-thread count>; 0 = timed
-  bool asym = true;                    // --no-asym: classic seq_cst protect
+  bool asym = true;                    // --no-asym: per-publication fences
   bool bg = smr_config_detail::bg_reclaim_default();
                                        // --bg/--no-bg: background reclaimer
   unsigned reclaim_interval_us = 100;  // --reclaim-interval-us <n>

@@ -272,8 +272,8 @@ std::optional<BenchReport> BenchReport::from_json(std::string_view text,
     if (const json::Value* pinned = c.find("pinned"))
       cell.cfg.pin_threads = pinned->type == json::Value::Type::kBool &&
                              pinned->boolean;
-    // Reports that predate the knob ran the (only) classic path, which the
-    // default-on asymmetric runs replace — treat them as comparable.
+    // Reports that predate the knob ran the (only) symmetric path, which
+    // the default-on asymmetric runs replace — treat them as comparable.
     if (const json::Value* asym = c.find("asym"))
       cell.cfg.asymmetric_fences =
           asym->type != json::Value::Type::kBool || asym->boolean;

@@ -2,8 +2,8 @@
 //
 // Hazard-pointer-style publication needs a StoreLoad edge on the *reader*
 // side: the slot store must be globally visible before the validating
-// re-read executes.  Encoding that edge with seq_cst atomics puts a full
-// fence on every protect() call — the dominant cost of HP/HPopt traversals
+// re-read executes.  Encoding that edge symmetrically puts a full fence on
+// every protect() call — the dominant cost of HP/HPopt traversals
 // (and of HE/IBR era publication) on read-mostly workloads.  Era-scheme
 // *operation activation* (EBR's epoch reservation, IBR's interval publish,
 // Hyaline's slot activation) carries the same shaped edge — the activation
@@ -18,18 +18,17 @@
 // DESIGN.md §5 for the safety argument, and the SMR surveys (Singh 2024;
 // Nikolaev & Ravindran's Hyaline line) for the technique's pedigree.
 //
-// Three runtime paths, resolved per reclamation domain at construction:
-//   kClassic       — the knob is off: callers keep their original seq_cst
-//                    code, this header is not involved (A/B falsifiability).
-//   kMembarrier    — fast path: light_barrier() compiles to nothing,
-//                    heavy_barrier() is the expedited membarrier syscall.
-//                    Requires one process-wide registration, performed the
-//                    first time a domain resolves the path.
-//   kFenceFallback — the syscall is unavailable (non-Linux, old kernel,
-//                    seccomp): light_barrier() degrades to a real seq_cst
-//                    fence per slot, which restores the classic two-sided
-//                    ordering at roughly classic cost.  Engages
-//                    automatically; nothing else in the domain changes.
+// Two runtime paths, resolved per reclamation domain at construction:
+//   kMembarrier    — the asymmetric discipline: light_barrier() compiles to
+//                    nothing, heavy_barrier() is the expedited membarrier
+//                    syscall.  Requires one process-wide registration,
+//                    performed the first time a domain resolves the path.
+//   kFenceFallback — the symmetric discipline: light_barrier() is a real
+//                    seq_cst fence per publication and heavy_barrier() a
+//                    local one.  Runs when asymmetric fences are switched
+//                    off (the A/B control) and when the syscall is
+//                    unavailable (non-Linux, old kernel, seccomp); nothing
+//                    else in the domain changes.
 #pragma once
 
 #include <atomic>
@@ -90,9 +89,8 @@ inline void seq_cst_fence() noexcept {
 }
 
 enum class Path {
-  kClassic,        // asymmetric fences disabled by config
   kMembarrier,     // registered; expedited membarrier serves heavy_barrier()
-  kFenceFallback,  // syscall unavailable; per-slot seq_cst fences instead
+  kFenceFallback,  // knob off or syscall unavailable; per-publish fences
 };
 
 // Test hook: makes resolve() behave as if sys_membarrier were unavailable,
@@ -151,8 +149,8 @@ inline SysState ensure_registered() noexcept {
 // cache the result: the branch in protect() must be on a plain bool/enum,
 // not on an atomic.
 inline Path resolve(bool want_asymmetric) noexcept {
-  if (!want_asymmetric) return Path::kClassic;
-  if (detail_force_fallback().load(std::memory_order_relaxed))
+  if (!want_asymmetric ||
+      detail_force_fallback().load(std::memory_order_relaxed))
     return Path::kFenceFallback;
   return detail::ensure_registered() == detail::SysState::kReady
              ? Path::kMembarrier
@@ -174,7 +172,6 @@ inline const char* runtime_path_name() noexcept {
 
 inline const char* path_name(Path p) noexcept {
   switch (p) {
-    case Path::kClassic: return "classic";
     case Path::kMembarrier: return "membarrier";
     case Path::kFenceFallback: return "fence-fallback";
   }
@@ -182,8 +179,8 @@ inline const char* path_name(Path p) noexcept {
 }
 
 // Reader-side publication barrier.  Callers pass their domain's resolved
-// path; kClassic never reaches here (classic callers keep seq_cst atomics).
-inline void light_barrier(Path p) noexcept {
+// path.
+[[gnu::always_inline]] inline void light_barrier(Path p) noexcept {
   if (p == Path::kMembarrier) {
     // Compiler barrier only: the matching heavy_barrier() supplies the
     // hardware StoreLoad edge on the rare reclaimer side.
@@ -193,6 +190,17 @@ inline void light_barrier(Path p) noexcept {
     // reclaimer pairing stays visible to the race detector).
     seq_cst_fence();
   }
+}
+
+// The one reader-side publication: a release store of `value`, then the
+// path's light barrier, so the store is ordered before the caller's next
+// shared load (StoreLoad) — by the fence itself on the fallback path, by
+// the scan's heavy barrier on the membarrier path (DESIGN.md §5).
+template <class T>
+[[gnu::always_inline]] inline void publish(std::atomic<T>& slot, T value,
+                                           Path p) noexcept {
+  slot.store(value, std::memory_order_release);
+  light_barrier(p);
 }
 
 // Reclaimer-side barrier, issued once per scan before the first read of the

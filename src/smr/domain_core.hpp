@@ -127,7 +127,7 @@ class DomainCore {
 
   // Stops and joins the service thread, runs a final synchronous drain and
   // releases the reclaimer's handle.  Mutators revert to inline scanning
-  // and re-adopt anything still parked in the background mailbox.
+  // and re-adopt anything still parked in the retire mailbox.
   void stop_background_reclaimer() {
     if constexpr (BackgroundReclaimable<Handle>) {
       bg_.active.store(false, std::memory_order_release);
@@ -175,7 +175,10 @@ class DomainCore {
   // cell list must be destroyed after the records are.
   obs::DomainStats stats_obs_;
   HandleRegistry<Handle> registry_;
-  RetireMailbox orphans_;  // leave() donations, adopted by the next retirer
+  // The one retire mailbox: leave() donations and, while the background
+  // reclaimer runs, mutators' threshold batches.  Adopted by the service
+  // thread when it runs, else by the next retirer.
+  RetireMailbox orphans_;
   ReclaimControl bg_;
   std::unique_ptr<DomainReclaimer<Derived>> reclaimer_;
 
@@ -231,13 +234,12 @@ class DomainCore {
   }
 
   // Destructor-time cleanup: no threads are active, free everything —
-  // every record's private chain plus both mailboxes.  Uncounted: nothing
+  // every record's private chain plus the mailbox.  Uncounted: nothing
   // reads the totals of a dying domain.
   void drain_all() {
     for (auto* r = registry_.head(); r != nullptr; r = r->next_record())
       free_chain(r->handle.take_retired(), r->index);
     free_chain(orphans_.take_all(), 0);
-    free_chain(bg_.mailbox.take_all(), 0);
   }
 };
 

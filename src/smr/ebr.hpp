@@ -44,10 +44,9 @@ class EbrDomain : public DomainCore<EbrDomain, EbrHandle> {
   }
 
   // Walks the live registry: records of departed threads hold an idle
-  // reservation, so no active-bit filtering is needed.  Callers on the
-  // asymmetric path must issue the heavy barrier first; the registry head
-  // is (re)read seq_cst after it, which is what makes late joiners visible
-  // (DESIGN.md §7).
+  // reservation, so no active-bit filtering is needed.  Callers must issue
+  // the heavy barrier first; the registry head is (re)read seq_cst after
+  // it, which is what makes late joiners visible (DESIGN.md §7).
   std::uint64_t min_reservation() const noexcept;
 };
 
@@ -60,21 +59,14 @@ class EbrHandle : public LimboHandle<EbrDomain, EbrHandle> {
 
   void begin_op() noexcept {
     // The reservation must be visible to reclaimers before any of this
-    // operation's shared loads execute (StoreLoad).  Classic: a seq_cst
-    // activation store.  Asymmetric: release store + compiler barrier;
-    // the StoreLoad edge is restored by the heavy barrier every scan
+    // operation's shared loads execute (StoreLoad): asymfence::publish,
+    // whose edge on the membarrier path is the heavy barrier every scan
     // issues before reading the reservations (DESIGN.md §5).  The epoch
     // is loaded *before* the store (data dependency), so the published
     // reservation can never lag the clock value this operation validates
     // against.
     const std::uint64_t e = dom_->clock_.load(std::memory_order_acquire);
-    const asymfence::Path fences = dom_->fence_path_;
-    if (fences == asymfence::Path::kClassic) {
-      reservation_.store(e, std::memory_order_seq_cst);
-    } else {
-      reservation_.store(e, std::memory_order_release);
-      asymfence::light_barrier(fences);
-    }
+    asymfence::publish(reservation_, e, dom_->fence_path_);
   }
   void end_op() noexcept {
     reservation_.store(kIdle, std::memory_order_release);

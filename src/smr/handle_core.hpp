@@ -10,8 +10,9 @@
 //    the DomainCore hooks (smr/domain_core.hpp).
 //  * `LimboHandle` — the shared half of the four limbo-list schemes (EBR,
 //    HP/HPopt, HE, IBR): the private limbo list, the whole retire path up to
-//    the threshold "donate or scan" decision, mailbox adoption, and the
-//    background-reclaimer and leave()/teardown hooks.
+//    the threshold "donate or scan" decision, adoption from the domain's
+//    retire mailbox, and the background-reclaimer and leave()/teardown
+//    hooks.
 //  * `SlotBlock` — the inline, line-isolated indexed slots of HP/HPopt and
 //    HE, with the publish/dup/clear steps both schemes share.
 #pragma once
@@ -59,36 +60,6 @@ struct LimboList {
   }
 };
 
-// Donates a limbo list's whole chain to a retire mailbox — the domain's
-// orphan mailbox on leave(), or the background reclaimer's mailbox on the
-// donate-instead-of-scan hot path — and resets the list.  O(1): one CAS
-// push of the [head .. tail] chain.  Returns the number of nodes donated
-// (0 = no donation happened).
-inline unsigned donate_limbo(LimboList& limbo,
-                             RetireMailbox& mailbox) noexcept {
-  const unsigned donated = limbo.count;
-  if (donated == 0) return 0;
-  mailbox.donate(limbo.head, limbo.tail);
-  limbo.take();
-  return donated;
-}
-
-// Adopts every donated retire into `limbo` (the limbo-list schemes' side of
-// the handoff; Hyaline splices into its batch instead).  Returns the number
-// of nodes adopted (0 = the mailbox was raced empty).
-inline unsigned adopt_orphans(RetireMailbox& mailbox,
-                              LimboList& limbo) noexcept {
-  ReclaimNode* n = mailbox.take_all();
-  unsigned adopted = 0;
-  while (n != nullptr) {
-    ReclaimNode* next = n->smr_next;
-    limbo.push(n);
-    ++adopted;
-    n = next;
-  }
-  return adopted;
-}
-
 // The per-handle slot cap: the size of the inline SlotBlock array, so
 // DomainCore refuses SmrConfig::slots_per_thread above it.
 inline constexpr unsigned kMaxSlots = 32;
@@ -103,18 +74,11 @@ template <class T>
 struct alignas(kFalseSharingRange) SlotBlock {
   std::atomic<T> v[kMaxSlots]{};
 
-  // Publishes `value` in slot `idx` under the domain's fence discipline:
-  // seq_cst on the classic path; release plus light_barrier on the
-  // asymmetric path, whose StoreLoad edge the scan's heavy barrier restores
-  // (DESIGN.md §5).
+  // Publishes `value` in slot `idx` under the domain's fence discipline
+  // (asymfence::publish; DESIGN.md §5).
   [[gnu::always_inline]] void publish(unsigned idx, T value,
                                       asymfence::Path fences) noexcept {
-    if (fences == asymfence::Path::kClassic) {
-      v[idx].store(value, std::memory_order_seq_cst);
-    } else {
-      v[idx].store(value, std::memory_order_release);
-      asymfence::light_barrier(fences);
-    }
+    asymfence::publish(v[idx], value, fences);
   }
 
   // Copies slot i to slot j.  Scans read slots in ascending order, so a
@@ -257,13 +221,11 @@ class HandleCore {
     c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_release);
   }
 
-  // The one process-wide heavy barrier a scan or batch seal issues before
-  // reading the reservations (asymmetric path only; DESIGN.md §5).
+  // The one heavy barrier a scan or batch seal issues before reading the
+  // reservations (DESIGN.md §5).
   void scan_barrier() noexcept {
-    if (dom_->fence_path_ != asymfence::Path::kClassic) {
-      asymfence::heavy_barrier(dom_->fence_path_);
-      obs::count(stats_, obs::Counter::kHeavyBarriers);
-    }
+    asymfence::heavy_barrier(dom_->fence_path_);
+    obs::count(stats_, obs::Counter::kHeavyBarriers);
   }
 
   // Advances the domain's era clock once per `era_freq` calls on this
@@ -309,9 +271,9 @@ class LimboHandle : public HandleCore<Domain, Derived> {
       n->retire_era = dom_->clock_.load(std::memory_order_acquire);
     limbo_.push(n);
     // With the background reclaimer active, mailbox adoption is its job;
-    // when inactive, retirers self-heal both mailboxes (leave() orphans
-    // and anything stranded in the background mailbox by a stop).
-    if (!dom_->bg_.is_active() && adopt_all_mailboxes() > 0) {
+    // when inactive, retirers self-heal the mailbox (leave() orphans and
+    // any batch a stop stranded there).
+    if (!dom_->bg_.is_active() && adopt_mailbox() > 0) {
       obs::count(stats_, obs::Counter::kOrphanAdoptions);
       obs::trace_instant(obs::TraceKind::kAdopt);
     }
@@ -321,10 +283,10 @@ class LimboHandle : public HandleCore<Domain, Derived> {
     if (limbo_.count >= dom_->bg_.effective_scan_threshold()) {
       if (dom_->bg_.is_active()) {
         // Donate the whole chain (one CAS) and ring the doorbell: no scan,
-        // no reservation snapshot, and on the asymmetric path no heavy
-        // barrier on this (or any) mutator — the service thread issues one
-        // barrier for the entire adopted backlog.
-        donate_limbo(limbo_, dom_->bg_.mailbox);
+        // no reservation snapshot, and no heavy barrier on this (or any)
+        // mutator — the service thread issues one barrier for the entire
+        // adopted backlog.
+        donate_limbo();
         dom_->bg_.thread.ring();
         obs::count(stats_, obs::Counter::kBgBatchesDonated);
       } else {
@@ -335,7 +297,7 @@ class LimboHandle : public HandleCore<Domain, Derived> {
 
   // --- background-reclaimer hooks (service thread only; DESIGN.md §9) ---
   // Adopt every donated chain into this handle's limbo list.
-  void bg_collect() { adopt_all_mailboxes(); }
+  void bg_collect() { adopt_mailbox(); }
   // Run the shared scan (one heavy barrier) if there is a backlog.
   bool bg_reclaim() {
     if (limbo_.count == 0) return false;
@@ -350,12 +312,12 @@ class LimboHandle : public HandleCore<Domain, Derived> {
   void on_leave() {
     if (limbo_.count == 0) return;
     if (dom_->bg_.is_active()) {
-      donate_limbo(limbo_, dom_->bg_.mailbox);
+      donate_limbo();
       dom_->bg_.thread.ring();
       obs::count(stats_, obs::Counter::kOrphanDonations);
     } else {
       this->derived()->scan();
-      if (donate_limbo(limbo_, dom_->orphans_) > 0)
+      if (donate_limbo() > 0)
         obs::count(stats_, obs::Counter::kOrphanDonations);
     }
   }
@@ -364,14 +326,32 @@ class LimboHandle : public HandleCore<Domain, Derived> {
  protected:
   using Base::dom_;
 
-  // Drains both shared mailboxes into the private limbo list; returns the
-  // number of nodes adopted.
-  unsigned adopt_all_mailboxes() {
+  // Donates the whole limbo chain to the domain's retire mailbox — on
+  // leave(), or on the background reclaimer's donate-instead-of-scan hot
+  // path — and resets the list.  O(1): one CAS push of the [head .. tail]
+  // chain.  Returns the number of nodes donated (0 = nothing to donate).
+  unsigned donate_limbo() noexcept {
+    const unsigned donated = limbo_.count;
+    if (donated == 0) return 0;
+    dom_->orphans_.donate(limbo_.head, limbo_.tail);
+    limbo_.take();
+    return donated;
+  }
+
+  // Drains the domain's retire mailbox into the private limbo list (the
+  // limbo-list schemes' side of the handoff; Hyaline splices into its
+  // batch instead).  Returns the number of nodes adopted (0 = the mailbox
+  // was empty or raced empty).
+  unsigned adopt_mailbox() noexcept {
+    if (dom_->orphans_.empty()) return 0;
+    ReclaimNode* n = dom_->orphans_.take_all();
     unsigned adopted = 0;
-    if (!dom_->orphans_.empty())
-      adopted += adopt_orphans(dom_->orphans_, limbo_);
-    if (!dom_->bg_.mailbox.empty())
-      adopted += adopt_orphans(dom_->bg_.mailbox, limbo_);
+    while (n != nullptr) {
+      ReclaimNode* next = n->smr_next;
+      limbo_.push(n);
+      ++adopted;
+      n = next;
+    }
     return adopted;
   }
 

@@ -30,14 +30,15 @@
 //    spelling, and the only way to obtain a handle besides join()/leave().
 //
 //  * `RetireMailbox` — the domain-side mailbox a departing thread donates
-//    its unreclaimed retires to; any later retirer adopts them (Hyaline-
-//    style handoff generalized to every scheme).
+//    its unreclaimed retires to (and, while the background reclaimer runs,
+//    every mutator its full batches); any later retirer adopts them
+//    (Hyaline-style handoff generalized to every scheme).
 //
 // Memory-ordering contract (the late-joiner argument, DESIGN.md §7):
 // `append` publishes a new record with a seq_cst CAS on the list head, and
 // every reclamation scan reads the head with a seq_cst load *after* its
-// heavy barrier (asymmetric path) or as part of its seq_cst scan sequence
-// (classic path).  A record the walk does not see therefore belongs to a
+// heavy barrier (a membarrier, or a seq_cst fence on the fence path).  A
+// record the walk does not see therefore belongs to a
 // thread whose first reservation publication is not yet visible to the scan
 // either — exactly the case the per-scheme fence argument (DESIGN.md §5)
 // already proves safe.
@@ -138,10 +139,9 @@ class HandleRegistry {
   }
 
   // Scan-side entry point.  seq_cst by design: paired with the seq_cst
-  // append CAS this guarantees a scan running under classic fences sees the
-  // record of any thread whose reservation publications it can see (the
-  // late-joiner argument above).  On the asymmetric path, call this AFTER
-  // the heavy barrier.
+  // append CAS this guarantees a scan sees the record of any thread whose
+  // reservation publications it can see (the late-joiner argument above).
+  // Call this AFTER the scan's heavy barrier.
   Record* head() const noexcept {
     return head_.load(std::memory_order_seq_cst);
   }
@@ -252,11 +252,12 @@ template <class Domain>
   return ScopedHandle<Domain>(d);
 }
 
-// MPSC mailbox of retired-node chains, the handoff primitive for both
-// custody transfers in the library:
+// MPSC mailbox of retired-node chains.  Each domain holds exactly one, which
+// carries both custody transfers in the library:
 //
 //  * orphan custody — leave() donates the departing thread's leftover chain;
-//    the next retire() on any live handle adopts the lot;
+//    the next retire() on any live handle (or the service thread, when it
+//    runs) adopts the lot;
 //  * background reclamation (smr/reclaimer.hpp, DESIGN.md §9) — mutators
 //    donate their full limbo/batch chains so the domain's service thread
 //    reclaims them off the operation path.

@@ -112,30 +112,17 @@ class HpHandle
     assert(idx < dom_->cfg_.slots_per_thread);
     P cur = src.load(std::memory_order_acquire);
     const asymfence::Path fences = dom_->fence_path_;
-    if (fences == asymfence::Path::kClassic) {
-      for (;;) {
-        // seq_cst publish followed by a seq_cst re-read gives the
-        // StoreLoad ordering the HP safety argument requires: if the
-        // re-read still sees `cur`, the publication preceded any
-        // subsequent unlink of the link we loaded from, so a retirement
-        // scan must observe the slot.
-        slots_.v[idx].store(smr_raw(cur), std::memory_order_seq_cst);
-        P again = src.load(std::memory_order_seq_cst);
-        if (again == cur) break;
-        cur = again;
-      }
-    } else {
-      for (;;) {
-        // Asymmetric fast path: the StoreLoad edge above is restored by
-        // the heavy barrier every scan issues before reading the slots
-        // (DESIGN.md §5).  On the fallback path light_barrier() is a real
-        // seq_cst fence, making the pair equivalent to the classic code.
-        slots_.v[idx].store(smr_raw(cur), std::memory_order_release);
-        asymfence::light_barrier(fences);
-        P again = src.load(std::memory_order_acquire);
-        if (again == cur) break;
-        cur = again;
-      }
+    for (;;) {
+      // The publication is ordered before the re-read (StoreLoad), which
+      // the HP safety argument requires: if the re-read still sees `cur`,
+      // the publication preceded any subsequent unlink of the link we
+      // loaded from, so a retirement scan must observe the slot.  On the
+      // membarrier path that edge comes from the heavy barrier every scan
+      // issues before reading the slots (DESIGN.md §5).
+      slots_.publish(idx, smr_raw(cur), fences);
+      P again = src.load(std::memory_order_acquire);
+      if (again == cur) break;
+      cur = again;
     }
     return cur;
   }

@@ -26,7 +26,7 @@
 //    reclaim_node.hpp).
 //
 // The reservation slot lives inside the Handle and seal_batch() walks the
-// live registry.  leave() donates the unsealed batch to the domain's orphan
+// live registry.  leave() donates the unsealed batch to the domain's retire
 // mailbox — the natural Hyaline handoff, since sealed batches are already
 // owned by "whoever drops the last reference".
 #pragma once
@@ -78,13 +78,12 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
     era_local_ = dom_->clock_.load(std::memory_order_acquire);
     slot_.era.store(era_local_, std::memory_order_release);
     // Activation must be visible to retirers before this operation
-    // performs any shared loads (StoreLoad).  Classic: a seq_cst head
-    // store.  Asymmetric: release store + compiler barrier; seal_batch()
-    // compensates with one heavy barrier before reading the slots
-    // (DESIGN.md §5, activation case).  The era store above is release-
-    // ordered before the head store either way, so a retirer that sees
-    // the slot active also sees an era at least as new as era_local_.
-    const asymfence::Path fences = dom_->fence_path_;
+    // performs any shared loads (StoreLoad): asymfence::publish of the
+    // head, whose edge on the membarrier path is the one heavy barrier
+    // seal_batch() issues before reading the slots (DESIGN.md §5,
+    // activation case).  The era store above is release-ordered before
+    // the head store, so a retirer that sees the slot active also sees an
+    // era at least as new as era_local_.
 #ifndef NDEBUG
     // Debug check that the previous operation deactivated the slot.  An
     // exchange (a full RMW even at relaxed strength) reads the
@@ -99,12 +98,7 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
     assert(prev == kInactive &&
            "begin_op on a slot the previous operation left active");
 #endif
-    if (fences == asymfence::Path::kClassic) {
-      slot_.head.store(kActiveEmpty, std::memory_order_seq_cst);
-    } else {
-      slot_.head.store(kActiveEmpty, std::memory_order_release);
-      asymfence::light_barrier(fences);
-    }
+    asymfence::publish(slot_.head, kActiveEmpty, dom_->fence_path_);
   }
 
   void end_op() noexcept {
@@ -141,7 +135,7 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
     n->retire_era = dom_->clock_.load(std::memory_order_acquire);
     n->batch = nullptr;
     push_to_batch(n);
-    if (!dom_->bg_.is_active() && adopt_all_mailboxes() > 0) {
+    if (!dom_->bg_.is_active() && splice_mailbox() > 0) {
       obs::count(stats_, obs::Counter::kOrphanAdoptions);
       obs::trace_instant(obs::TraceKind::kAdopt);
     }
@@ -153,7 +147,7 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
         // Donate the accumulated batch whole; the service thread splices
         // it into its own batch and runs the seal (with its single heavy
         // barrier) off the operation path.
-        donate_batch(dom_->bg_.mailbox);
+        donate_batch();
         dom_->bg_.thread.ring();
         obs::count(stats_, obs::Counter::kBgBatchesDonated);
       } else {
@@ -172,7 +166,7 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
   std::uint64_t reservation_era() const noexcept { return era_local_; }
 
   // --- background-reclaimer hooks (service thread only; DESIGN.md §9) ---
-  void bg_collect() { adopt_all_mailboxes(); }
+  void bg_collect() { splice_mailbox(); }
   // Seals only when the spliced batch has enough member nodes for every
   // registry record; a short batch keeps accumulating until the next
   // round's adoptions top it up.
@@ -189,12 +183,8 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
     assert(slot_.head.load(std::memory_order_relaxed) == kInactive &&
            "leave() with an operation in flight");
     if (batch_count_ == 0) return;
-    if (dom_->bg_.is_active()) {
-      donate_batch(dom_->bg_.mailbox);
-      dom_->bg_.thread.ring();
-    } else {
-      donate_batch(dom_->orphans_);
-    }
+    donate_batch();
+    if (dom_->bg_.is_active()) dom_->bg_.thread.ring();
     obs::count(stats_, obs::Counter::kOrphanDonations);
   }
   ReclaimNode* take_retired() noexcept {
@@ -231,25 +221,19 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
     batch_min_birth_ = 0;
   }
 
-  void donate_batch(RetireMailbox& mailbox) noexcept {
-    mailbox.donate(batch_head_, batch_tail_);
+  void donate_batch() noexcept {
+    dom_->orphans_.donate(batch_head_, batch_tail_);
     reset_batch();
   }
 
-  // Splices every donated retire (departed threads' unsealed batches and
-  // anything parked in the background mailbox) into this thread's batch,
-  // restoring the min-birth bound.  Returns the number of nodes adopted
-  // (0 = both mailboxes were raced empty).
-  unsigned adopt_all_mailboxes() noexcept {
-    unsigned adopted = 0;
-    adopted += splice_mailbox(dom_->orphans_);
-    adopted += splice_mailbox(dom_->bg_.mailbox);
-    return adopted;
-  }
-
-  unsigned splice_mailbox(RetireMailbox& mailbox) noexcept {
-    if (mailbox.empty()) return 0;
-    ReclaimNode* n = mailbox.take_all();
+  // Splices every donated retire (departed threads' unsealed batches and,
+  // with the reclaimer running, mutators' full batches) from the domain's
+  // retire mailbox into this thread's batch, restoring the min-birth
+  // bound.  Returns the number of nodes adopted (0 = the mailbox was raced
+  // empty).
+  unsigned splice_mailbox() noexcept {
+    if (dom_->orphans_.empty()) return 0;
+    ReclaimNode* n = dom_->orphans_.take_all();
     unsigned adopted = 0;
     while (n != nullptr) {
       ReclaimNode* next = n->smr_next;

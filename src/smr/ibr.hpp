@@ -67,22 +67,16 @@ class IbrHandle : public LimboHandle<IbrDomain, IbrHandle> {
 
   void begin_op() noexcept {
     // Activation publishes the interval: `lower` first (release), then
-    // `upper`, whose store carries the StoreLoad edge against this
-    // operation's shared loads.  Classic: seq_cst.  Asymmetric: release +
-    // compiler barrier, compensated by the heavy barrier scans issue
-    // before collect_intervals() (DESIGN.md §5, activation case).  Both
-    // eras come from the clock value loaded first, so the published
-    // interval can never lag the era this operation validates against.
+    // `upper`, whose asymfence::publish carries the StoreLoad edge against
+    // this operation's shared loads; on the membarrier path the heavy
+    // barrier scans issue before collect_intervals() supplies it
+    // (DESIGN.md §5, activation case).  Both eras come from the clock
+    // value loaded first, so the published interval can never lag the era
+    // this operation validates against.
     const std::uint64_t e = dom_->clock_.load(std::memory_order_acquire);
     upper_cache_ = e;
     res_lower_.store(e, std::memory_order_release);
-    const asymfence::Path fences = dom_->fence_path_;
-    if (fences == asymfence::Path::kClassic) {
-      res_upper_.store(e, std::memory_order_seq_cst);
-    } else {
-      res_upper_.store(e, std::memory_order_release);
-      asymfence::light_barrier(fences);
-    }
+    asymfence::publish(res_upper_, e, dom_->fence_path_);
   }
 
   void end_op() noexcept {
@@ -91,10 +85,10 @@ class IbrHandle : public LimboHandle<IbrDomain, IbrHandle> {
   }
 
   // The common case (era unchanged since the last bump) is fence-free
-  // either way; the asymmetric discipline relaxes the `upper` bump, whose
-  // StoreLoad edge against the loop's re-read is restored by the heavy
-  // barrier scans issue before collect_intervals() (DESIGN.md §5).
-  // `Src` is std::atomic<P> or StableAtomic<P>.
+  // under both disciplines; only the `upper` bump publishes, and on the
+  // membarrier path its StoreLoad edge against the loop's re-read is
+  // restored by the heavy barrier scans issue before collect_intervals()
+  // (DESIGN.md §5).  `Src` is std::atomic<P> or StableAtomic<P>.
   template <class Src, class P = typename Src::value_type>
   [[gnu::always_inline]] P protect(const Src& src, unsigned) noexcept {
     const asymfence::Path fences = dom_->fence_path_;
@@ -102,12 +96,7 @@ class IbrHandle : public LimboHandle<IbrDomain, IbrHandle> {
       P v = src.load(std::memory_order_acquire);
       const std::uint64_t e = dom_->clock_.load(std::memory_order_seq_cst);
       if (e == upper_cache_) return v;
-      if (fences == asymfence::Path::kClassic) {
-        res_upper_.store(e, std::memory_order_seq_cst);
-      } else {
-        res_upper_.store(e, std::memory_order_release);
-        asymfence::light_barrier(fences);
-      }
+      asymfence::publish(res_upper_, e, fences);
       upper_cache_ = e;
     }
   }

@@ -6,13 +6,12 @@
 //
 //  * retire() stays "append to the private limbo list", but on reaching the
 //    effective scan threshold the mutator donates the WHOLE chain to the
-//    domain's `ReclaimControl::mailbox` (one CAS — the RetireMailbox
-//    machinery the orphan handoff already proved out) and rings the
-//    reclaimer's doorbell.  No scan, no reservation snapshot, and — the
+//    domain's retire mailbox (one CAS — the same RetireMailbox leave()
+//    donates orphans to) and rings the reclaimer's doorbell.  No scan, no reservation snapshot, and — the
 //    point of the exercise — no process-wide heavy barrier on any mutator.
 //
-//  * The service thread runs rounds: adopt every donated chain (plus any
-//    orphans), then run the scheme's ONE existing scan/seal entry point,
+//  * The service thread runs rounds: adopt every donated chain (mutator
+//    batches and leave() orphans alike), then run the scheme's ONE existing scan/seal entry point,
 //    which issues exactly one `asymfence::heavy_barrier()` for the whole
 //    adopted backlog.  The IPI the PR 5 asymmetric-fence discipline pays per
 //    scanning mutator is thereby amortized across every thread's batches.
@@ -36,12 +35,11 @@
 //  * stop: clear `active` (mutators revert to inline scanning and also
 //    re-adopt anything still parked in the mailbox), join the thread, run
 //    one final synchronous collect+reclaim, then leave() the handle — which
-//    donates whatever is still reservation-protected to the orphan mailbox.
+//    donates whatever is still reservation-protected back to the mailbox.
 //    Custody is preserved at every step; nothing leaks (ASan-verified in
 //    tests/smr/reclaimer_test.cpp).
 //  * The domain destructor (DomainCore) calls stop before drain_all(), and
-//    drain_all also empties the background mailbox — so shutdown
-//    mid-donation is safe.
+//    drain_all also empties the mailbox — so shutdown mid-donation is safe.
 //  * fork() note: like any thread-owning object, the reclaimer does not
 //    survive fork(); a child process must not touch a domain whose parent
 //    had background reclamation running.  (No fork handlers are installed —
@@ -102,12 +100,10 @@ class ReclaimerThreadBase {
 };
 
 // Per-domain shared state for the background path, embedded by value in
-// DomainCore.  Mutators touch only `mailbox`, the three effective knobs and
-// the doorbell.  The service thread's telemetry (rounds, adaptations, scans,
+// DomainCore.  Mutators touch only the effective knobs and the doorbell;
+// their donations go to the domain's one retire mailbox.  The service thread's telemetry (rounds, adaptations, scans,
 // heavy barriers) lives in its own handle's obs cell, like every handle's.
 struct ReclaimControl {
-  RetireMailbox mailbox;
-
   // Effective thresholds (initialized from SmrConfig by the domain ctor;
   // retuned by the adaptive controller).  Relaxed loads on the retire path.
   std::atomic<unsigned> scan_threshold{0};
@@ -133,7 +129,7 @@ struct ReclaimControl {
 };
 
 // A handle the service thread can drive: the two background hooks.
-//   bg_collect()            adopt mailbox + orphans into own limbo/batch
+//   bg_collect()            adopt the retire mailbox into own limbo/batch
 //   bg_reclaim()  -> bool   run the shared scan/seal entry point if there
 //                           is anything to reclaim; true if it ran
 // NR's handle has neither (it never reclaims), so its domain keeps an inert

@@ -81,9 +81,10 @@ struct SmrConfig {
   // barrier, and the reclaimer side — limbo scans and Hyaline's
   // retire-batch handoff — issues one process-wide heavy barrier before
   // reading the reservations instead (src/common/asymfence.hpp, DESIGN.md
-  // §5).  Off = the original per-call seq_cst publication.  Falls back
-  // automatically to per-slot seq_cst fences when sys_membarrier is
-  // unavailable.  Default honours the SCOT_ASYM env knob.
+  // §5).  Off = the symmetric discipline: a seq_cst fence after every
+  // publication and in every scan — the same fence path the knob falls
+  // back to automatically when sys_membarrier is unavailable.  Default
+  // honours the SCOT_ASYM env knob.
   bool asymmetric_fences = smr_config_detail::asym_fences_default();
 
   // Background reclaimer (smr/reclaimer.hpp, DESIGN.md §9).  When on, the
