@@ -57,8 +57,8 @@ struct ChaseNode : ReclaimNode {
 
 // A 256-node ring whose links jump around the pool, so every protect
 // depends on the load before it.  walk() is one operation of the Harris
-// list's per-node safe-zone steps (harris_list.hpp) over kWalk nodes,
-// resuming where the last one stopped.
+// list's per-node safe-zone steps (harris_list.hpp: rename the roles, then
+// protect next) over kWalk nodes, resuming where the last one stopped.
 template <class Smr>
 class ChaseRing {
  public:
@@ -89,8 +89,7 @@ class ChaseRing {
     auto prev = g.template slot<ChaseNode>();
     Protected<ChaseNode> n = next.protect(*from_);
     for (int i = 0; i < kWalk; ++i) {
-      prev.dup_from(curr);
-      curr.dup_from(next);
+      prev.rotate_roles(curr, next);
       n = next.protect(n->next);
     }
     from_ = &n->next;
@@ -105,6 +104,8 @@ class ChaseRing {
 
 // --- google-benchmark suite -------------------------------------------------
 
+// One slot copy: the per-node step of the traversals that still copy
+// protections (NMTree, the skip list, the simple Harris list).
 template <class Smr>
 void BM_Dup(benchmark::State& state) {
   SmrConfig cfg;

@@ -459,9 +459,11 @@ std::vector<Figure> figures(const BenchFlags& flags) {
                    {"recoveries", false, Stat::kRecoveries},
                    {"no-recovery Mops", true, Stat::kMops},
                    {"no-recovery restarts", true, Stat::kRestarts}}}},
-      // §3.2, Figure 5: the unrolled Do_Find needs 2 hazard dups per
-      // safe-zone step, the simple one 3; under HP each dup is a
-      // shared-visible store, so unrolled should win, most at range 512.
+      // §3.2, Figure 5: the paper's unrolled Do_Find needs 2 hazard dups
+      // per safe-zone step, the simple one 3.  Here the unrolled steps
+      // rename roles and copy nothing (DESIGN.md §4), while the simple one
+      // still makes its 3 copies; under HP each copy is a shared-visible
+      // store, so unrolled should win, most at range 512.
       {"ablation_unroll",
        "SCOT ablation — §3.2 unrolled (Fig 5 right) vs simple (Fig 5 left) "
        "Do_Find",

@@ -20,15 +20,21 @@
 //     when that node is itself still unmarked.
 //
 // Traits select the paper's variants:
-//   kUnrolled  — Figure 5 right (2 dups in the safe zone, 1 in the zone)
-//                vs. Figure 5 left (3 dups everywhere);
+//   kUnrolled  — Figure 5 right vs. Figure 5 left (3 dups everywhere).  The
+//                paper's unrolled Do_Find makes 2 dups per safe-zone step
+//                and 1 per zone step; here each of those is a role rename
+//                (ProtectionSlot::rotate_roles/swap_roles), so it copies
+//                no protection at all (DESIGN.md §4);
 //   kRecovery  — §3.2.1 recovery optimization;
 //   kWaitFree  — §3.4 wait-free Search via the helping protocol.
 //
 // Protection roles (API v2 guard slots, allocated in ascending order so the
-// ascending-dup discipline of paper §3.2 holds by construction):
+// ascending-dup discipline of paper §3.2 holds by construction for the
+// simple variant's copies):
 //   hp.next = next, hp.curr = curr, hp.prev = last safe, hp.unsafe = first
 //   unsafe.
+// The unrolled variant renames roles instead, so after a traversal step a
+// role may name any of the four slots.
 #pragma once
 
 #include <cassert>
@@ -82,7 +88,8 @@ class HarrisList {
 
   // The traversal's protection roles.  Construction order is the slot
   // index order, so every dup_from below copies toward a higher index
-  // (paper §3.2; asserted by ProtectionSlot).
+  // (paper §3.2; asserted by ProtectionSlot).  do_find renames the roles
+  // in a local copy; the caller's Hp keeps the initial assignment.
   struct Hp {
     NodeSlot next, curr, prev, unsafe;
     explicit Hp(Guard& g)
@@ -195,7 +202,7 @@ class HarrisList {
     Position pos;
     do_find(guard, hp, key, /*search_only=*/true, pos, DefaultControl{});
     if (!pos.found) return std::nullopt;
-    return pos.curr->value;  // protected by hp.curr
+    return pos.curr->value;  // still protected by do_find's curr role
   }
 
   // Test-only: performs the logical deletion of `key` (marking the node's
@@ -284,11 +291,19 @@ class HarrisList {
 
   // SCOT-augmented Do_Find (Figure 5).  Returns the settled position for the
   // caller, unlinking the marked chain adjacent to it when
-  // `!search_only` (Figure 3, L43-44 semantics).
+  // `!search_only` (Figure 3, L43-44 semantics).  The returned prev node,
+  // curr and next stay protected in whichever slots their roles ended on,
+  // until the guard ends or the next do_find.
   template <class Control>
-  FindOutcome do_find(Guard& g, Hp& hp, const Key& key, bool search_only,
-                      Position& out, Control control) {
+  FindOutcome do_find(Guard& g, const Hp& roles, const Key& search_key,
+                      bool search_only, Position& out, Control control) {
     Handle& h = g.handle();
+    // Roles and key are locals, so they stay in registers across the light
+    // barrier's compiler clobber instead of being reloaded through the
+    // references after every protect.  A restart re-protects every role,
+    // so whatever slots the renames left each role on are a valid start.
+    Hp hp = roles;
+    const TraversalKey<Key> key = search_key;
     // All locals hoisted so that `goto restart` stays well-formed.
     Link* prev;
     MP prev_next;  // expected value of *prev while inside a dangerous zone
@@ -336,13 +351,20 @@ class HarrisList {
 
       if (next.marked()) {
         // --- dangerous zone (curr is logically deleted) ------------------
-        if (!in_zone) {
-          in_zone = true;
-          if constexpr (Traits::kUnrolled) {
-            // Figure 5 right, L48-49: protect the first unsafe node.
-            hp.unsafe.dup_from(hp.curr);
+        if constexpr (Traits::kUnrolled) {
+          if (!in_zone) {
+            // Figure 5 right, L48-49: the first unsafe node stays in its
+            // slot, now named hp.unsafe; curr takes next's slot and next
+            // reuses the one hp.unsafe named.
+            in_zone = true;
             prev_next = MP(curr);
+            hp.unsafe.rotate_roles(hp.curr, hp.next);
           } else {
+            hp.curr.swap_roles(hp.next);
+          }
+        } else {
+          if (!in_zone) {
+            in_zone = true;
             // Figure 5 left: hp.unsafe/prev_next normally already track
             // curr via the last safe advance; the one exception is a chain
             // starting at the very first node (prev == &head_, nothing
@@ -351,12 +373,12 @@ class HarrisList {
               hp.unsafe.dup_from(hp.curr);
               prev_next = MP(curr);
             }
+            assert(prev_next == MP(curr));
           }
-          assert(prev_next == MP(curr));
+          hp.curr.dup_from(hp.next);
         }
         curr = next.ptr();
         assert(curr != nullptr);  // the tail sentinel is never marked
-        hp.curr.dup_from(hp.next);
         next = hp.next.protect(curr->next);
         if (!g.valid()) goto restart;
         // SCOT validation (Figure 5, L55): the last safe node must still
@@ -390,19 +412,22 @@ class HarrisList {
       // --- safe zone (curr is live) --------------------------------------
       if (!node_less_than_key(curr, key, cmp_)) break;
       prev = &curr->next;
-      hp.prev.dup_from(hp.curr);
       if constexpr (Traits::kUnrolled) {
+        // prev takes curr's slot, curr takes next's, and next reuses the
+        // slot the old last safe node held.
+        hp.prev.rotate_roles(hp.curr, hp.next);
         prev_next = MP{};
       } else {
+        hp.prev.dup_from(hp.curr);
         // Simple variant: continuously mirror next into hp.unsafe so that
         // zone entry needs no extra work (Figure 5 left, L11-14).
         hp.unsafe.dup_from(hp.next);
         prev_next = next;
+        hp.curr.dup_from(hp.next);
       }
       in_zone = false;
       curr = next.ptr();
       assert(curr != nullptr);  // tail sentinel terminates every traversal
-      hp.curr.dup_from(hp.next);
       next = hp.next.protect(curr->next);
       if (!g.valid()) goto restart;
     }

@@ -8,8 +8,11 @@
 // list pays extra CAS traffic and restarts under contention (Table 2 of the
 // paper reports restart rates up to 8.19% at 256 threads).
 //
-// Protection roles (API v2 guard slots, ascending-dup discipline):
+// Protection roles (API v2 guard slots):
 //   hp.next = next, hp.curr = curr, hp.prev = prev.
+// find() advances by renaming roles (ProtectionSlot::rotate_roles /
+// swap_roles), never by copying a protection into another slot, so the
+// ascending-dup discipline has nothing to order (DESIGN.md §4).
 #pragma once
 
 #include <cassert>
@@ -40,7 +43,7 @@ class HarrisMichaelList {
 
   static constexpr unsigned kSlotsRequired = 3;
 
-  // Slot roles in index (= ascending-dup) order.
+  // Slot roles in initial index order; find() renames them in a local copy.
   struct Hp {
     NodeSlot next, curr, prev;
     explicit Hp(Guard& g)
@@ -134,7 +137,7 @@ class HarrisMichaelList {
     Hp hp(guard);
     Position pos = find(guard, hp, key);
     if (!pos.found) return std::nullopt;
-    return pos.curr->value;  // curr is hazard-protected
+    return pos.curr->value;  // still protected by find()'s curr role
   }
 
   // Single-threaded size (tests / teardown only).
@@ -159,8 +162,15 @@ class HarrisMichaelList {
   };
 
   // Michael's Find: eagerly unlinks every logically deleted node it meets.
-  Position find(Guard& g, Hp& hp, const Key& key) {
+  // The returned prev node, curr and next stay protected in whichever slots
+  // their roles ended on, until the guard ends or the next find().
+  Position find(Guard& g, const Hp& roles, const Key& search_key) {
     Handle& h = g.handle();
+    // Roles and key are locals so they stay in registers across the light
+    // barrier's compiler clobber; every retry re-protects each role, so any
+    // slot assignment the renames left is a valid start.
+    Hp hp = roles;
+    const TraversalKey<Key> key = search_key;
     for (;;) {
       Link* prev = &head_;
       MP curr_m = hp.curr.protect(head_);
@@ -193,16 +203,17 @@ class HarrisMichaelList {
           }
           h.retire(curr);
           curr = next.ptr();
-          hp.curr.dup_from(hp.next);
+          hp.curr.swap_roles(hp.next);  // next reuses the retired node's slot
           continue;
         }
         if (!node_less_than_key(curr, key, cmp_)) {
           return {prev, curr, next, node_equals_key(curr, key, cmp_)};
         }
+        // prev takes curr's slot, curr takes next's, and next reuses the
+        // old prev's.
         prev = &curr->next;
-        hp.prev.dup_from(hp.curr);
         curr = next.ptr();
-        hp.curr.dup_from(hp.next);
+        hp.prev.rotate_roles(hp.curr, hp.next);
       }
       if (!retry) {
         // Fell off the list: with the tail sentinel this is unreachable,

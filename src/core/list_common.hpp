@@ -2,6 +2,7 @@
 #pragma once
 
 #include <functional>
+#include <type_traits>
 
 #include "common/stable_atomic.hpp"
 #include "core/marked_ptr.hpp"
@@ -29,6 +30,15 @@ struct ListNode : ReclaimNode {
   ListNode(const Key& k, const Value& v, std::uint8_t r)
       : key(k), value(v), rank(r), next(marked_ptr<ListNode>{}) {}
 };
+
+// How a traversal holds its search key: by value when that is a register
+// copy, so it survives the light barrier's compiler clobber without a
+// reload through the caller's reference; by reference otherwise.
+template <class Key>
+using TraversalKey =
+    std::conditional_t<std::is_trivially_copyable_v<Key> &&
+                           sizeof(Key) <= 2 * sizeof(void*),
+                       const Key, const Key&>;
 
 // Rank-aware comparisons: the tail sentinel is greater than everything.
 template <class Node, class Key, class Compare>

@@ -345,8 +345,9 @@ class KvHashMap {
     bool found;
   };
 
-  // Slot roles in ascending-dup order (paper §3.2); blob sits above the
-  // list roles so get() can protect the value last.
+  // Slot roles in initial index order; find() renames the four list roles
+  // in a local copy and copies no protection.  blob keeps its own slot
+  // above them, so get() can protect the value last.
   struct Hp {
     NodeSlot next, curr, prev, unsafe;
     BlobSlot blob;
@@ -425,9 +426,15 @@ class KvHashMap {
   // validated against the last safe link (`*prev == first unsafe`), so a
   // traverser never trusts a node a concurrent unlink may have retired.
   // With `unlink`, the chain in front of the settled node is removed with
-  // one CAS and retired; any failure re-walks from `start`.
-  Position find(Guard& g, Hp& hp, KvNode* start, std::uint64_t so,
+  // one CAS and retired; any failure re-walks from `start`.  Each step
+  // renames roles instead of copying protections (DESIGN.md §4): the
+  // returned prev node and curr stay protected in whichever slots their
+  // roles ended on.  The roles are a local copy, so they stay in registers
+  // across the light barrier's compiler clobber, and a re-walk re-protects
+  // them from any slot assignment.
+  Position find(Guard& g, const Hp& roles, KvNode* start, std::uint64_t so,
                 std::string_view key, bool unlink) {
+    Hp hp = roles;
     for (;; restart(g)) {
       Link* prev = &start->next;
       MP first_unsafe{};  // null while the walk is in the safe zone
@@ -443,20 +450,23 @@ class KvHashMap {
           valid = false;
           break;
         }
+        // Each branch moves curr's role to next's slot and gives next a
+        // slot whose node is no longer needed.
         if (next.marked()) {  // curr is logically deleted
           if (!first_unsafe) {
-            hp.unsafe.dup_from(hp.curr);
+            hp.unsafe.rotate_roles(hp.curr, hp.next);  // keeps curr's slot
             first_unsafe = MP(curr);
+          } else {
+            hp.curr.swap_roles(hp.next);
           }
         } else {
           c = kv_compare(so, key, curr);
           if (c <= 0) break;
           prev = &curr->next;
-          hp.prev.dup_from(hp.curr);
+          hp.prev.rotate_roles(hp.curr, hp.next);
           first_unsafe = MP{};
         }
         curr = next.ptr();
-        hp.curr.dup_from(hp.next);
       }
       if (!valid) continue;
       if (unlink && first_unsafe) {

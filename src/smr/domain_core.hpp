@@ -168,7 +168,7 @@ class DomainCore {
  protected:
   SmrConfig cfg_;
   NodePool pool_;
-  // Resolved once here; every handle's protect reads it unsynchronized.
+  // Resolved once here; every handle copies it when it is constructed.
   const asymfence::Path fence_path_;
   std::atomic<std::uint64_t> clock_{1};
   // Declared before the registry: handles hold raw cell pointers, so the

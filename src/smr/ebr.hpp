@@ -66,7 +66,7 @@ class EbrHandle : public LimboHandle<EbrDomain, EbrHandle> {
     // reservation can never lag the clock value this operation validates
     // against.
     const std::uint64_t e = dom_->clock_.load(std::memory_order_acquire);
-    asymfence::publish(reservation_, e, dom_->fence_path_);
+    asymfence::publish(reservation_, e, fences_);
   }
   void end_op() noexcept {
     reservation_.store(kIdle, std::memory_order_release);

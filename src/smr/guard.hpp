@@ -10,8 +10,10 @@
 //     and it is dereferenceable until the owning guard ends the operation
 //     or the slot it came from is re-protected.
 //   * `ProtectionSlot<Handle, T>` — one named protection role of a
-//     traversal (curr / prev / first-unsafe / ...).  `dup_from` asserts the
-//     ascending-index discipline instead of relying on call-site constants.
+//     traversal (curr / prev / first-unsafe / ...).  `dup_from` copies a
+//     protection and asserts the ascending-index discipline instead of
+//     relying on call-site constants; `swap_roles`/`rotate_roles` rename
+//     which slot a role uses and copy nothing.
 //   * `TraversalGuard<Handle>` — RAII owner of one operation: begin_op on
 //     construction, end_op on destruction, slot allocation in between, and
 //     the funnel for op_valid()/revalidate_op() polling.
@@ -79,9 +81,9 @@ class Protected {
   MP v_;
 };
 
-// One named protection role, bound to a fixed per-thread slot index for the
-// lifetime of an operation.  Copyable (it is just a handle + index); the
-// *slot contents* are owned by the handle, exactly as in v1.
+// One named protection role, bound to a per-thread slot index that only
+// swap_roles/rotate_roles change.  Copyable (it is just a handle + index);
+// the *slot contents* are owned by the handle, exactly as in v1.
 template <class Handle, class T>
 class ProtectionSlot {
  public:
@@ -112,6 +114,26 @@ class ProtectionSlot {
     assert(src.index() < idx_ &&
            "SCOT requires ascending-index dup (paper §3.2)");
     h_->dup(src.index(), idx_);
+  }
+
+  // Role renames: change which slot a role names, never a slot's contents.
+  // A protected value stays in the slot it was published in, so no scan
+  // order can miss it and the ascending rule above has nothing to order
+  // (DESIGN.md §4).  Only the indices move: every role of one guard shares
+  // the handle pointer.
+  [[gnu::always_inline]] void swap_roles(ProtectionSlot& other) noexcept {
+    assert(h_ == other.h_);
+    std::swap(idx_, other.idx_);
+  }
+
+  // This role takes b's slot, b takes c's, and c takes this role's old slot.
+  [[gnu::always_inline]] void rotate_roles(ProtectionSlot& b,
+                                           ProtectionSlot& c) noexcept {
+    assert(h_ == b.h_ && h_ == c.h_);
+    const unsigned mine = idx_;
+    idx_ = b.idx_;
+    b.idx_ = c.idx_;
+    c.idx_ = mine;
   }
 
   unsigned index() const noexcept { return idx_; }

@@ -113,6 +113,7 @@ class HandleCore {
   HandleCore(Domain* dom, unsigned tid)
       : stats_(dom->obs_stats().make_cell(dom->config().track_stats)),
         dom_(dom),
+        fences_(dom->fence_path()),
         tid_(tid) {}
 
   HandleCore(const HandleCore&) = delete;
@@ -224,7 +225,7 @@ class HandleCore {
   // The one heavy barrier a scan or batch seal issues before reading the
   // reservations (DESIGN.md §5).
   void scan_barrier() noexcept {
-    asymfence::heavy_barrier(dom_->fence_path_);
+    asymfence::heavy_barrier(fences_);
     obs::count(stats_, obs::Counter::kHeavyBarriers);
   }
 
@@ -239,6 +240,10 @@ class HandleCore {
   }
 
   Domain* dom_;
+  // The domain's fence path, fixed at its construction and copied here so
+  // protect/publish read one handle word, not dom_ and then the domain,
+  // after every light-barrier clobber (DESIGN.md §6, per-node path).
+  const asymfence::Path fences_;
   unsigned tid_;
   unsigned tick_ = 0;
 

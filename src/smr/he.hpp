@@ -85,7 +85,7 @@ class HeHandle : public LimboHandle<HeDomain, HeHandle> {
   [[gnu::always_inline]] P protect(const Src& src, unsigned idx) noexcept {
     assert(idx < dom_->cfg_.slots_per_thread);
     std::uint64_t prev = slots_.v[idx].load(std::memory_order_relaxed);
-    const asymfence::Path fences = dom_->fence_path_;
+    const asymfence::Path fences = fences_;
     for (;;) {
       P v = src.load(std::memory_order_acquire);
       const std::uint64_t e = dom_->clock_.load(std::memory_order_seq_cst);
@@ -101,7 +101,7 @@ class HeHandle : public LimboHandle<HeDomain, HeHandle> {
     // Publishing the current era protects everything alive at it,
     // including the immortal anchor this is used for.
     slots_.publish(idx, dom_->clock_.load(std::memory_order_acquire),
-                   dom_->fence_path_);
+                   fences_);
   }
 
   [[gnu::always_inline]] void dup(unsigned i, unsigned j) noexcept {

@@ -94,6 +94,7 @@ class HpHandle
  protected:
   // The base is dependent, so its members need explicit re-introduction.
   using Base::dom_;
+  using Base::fences_;
   using Base::limbo_;
   using Base::tid_;
 
@@ -111,7 +112,7 @@ class HpHandle
   [[gnu::always_inline]] P protect(const Src& src, unsigned idx) noexcept {
     assert(idx < dom_->cfg_.slots_per_thread);
     P cur = src.load(std::memory_order_acquire);
-    const asymfence::Path fences = dom_->fence_path_;
+    const asymfence::Path fences = fences_;
     for (;;) {
       // The publication is ordered before the re-read (StoreLoad), which
       // the HP safety argument requires: if the re-read still sees `cur`,
@@ -132,7 +133,7 @@ class HpHandle
   template <class T>
   [[gnu::always_inline]] void publish(T* p, unsigned idx) noexcept {
     assert(idx < dom_->cfg_.slots_per_thread);
-    slots_.publish(idx, smr_raw(p), dom_->fence_path_);
+    slots_.publish(idx, smr_raw(p), fences_);
   }
 
   [[gnu::always_inline]] void dup(unsigned i, unsigned j) noexcept {

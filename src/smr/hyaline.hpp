@@ -98,7 +98,7 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
     assert(prev == kInactive &&
            "begin_op on a slot the previous operation left active");
 #endif
-    asymfence::publish(slot_.head, kActiveEmpty, dom_->fence_path_);
+    asymfence::publish(slot_.head, kActiveEmpty, fences_);
   }
 
   void end_op() noexcept {

@@ -76,7 +76,7 @@ class IbrHandle : public LimboHandle<IbrDomain, IbrHandle> {
     const std::uint64_t e = dom_->clock_.load(std::memory_order_acquire);
     upper_cache_ = e;
     res_lower_.store(e, std::memory_order_release);
-    asymfence::publish(res_upper_, e, dom_->fence_path_);
+    asymfence::publish(res_upper_, e, fences_);
   }
 
   void end_op() noexcept {
@@ -91,7 +91,7 @@ class IbrHandle : public LimboHandle<IbrDomain, IbrHandle> {
   // (DESIGN.md §5).  `Src` is std::atomic<P> or StableAtomic<P>.
   template <class Src, class P = typename Src::value_type>
   [[gnu::always_inline]] P protect(const Src& src, unsigned) noexcept {
-    const asymfence::Path fences = dom_->fence_path_;
+    const asymfence::Path fences = fences_;
     for (;;) {
       P v = src.load(std::memory_order_acquire);
       const std::uint64_t e = dom_->clock_.load(std::memory_order_seq_cst);

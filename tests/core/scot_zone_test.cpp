@@ -2,9 +2,16 @@
 // through the debug_mark_only() hook: traversals must skip logically deleted
 // chains (optimistic traversal), updates must prune whole chains with one
 // CAS, and the recovery optimization must engage instead of full restarts
-// when the last safe node stays live.
+// when the last safe node stays live.  RoleRotationStress runs the
+// role-renaming traversals (both lists and the kv map) against a scan on
+// every retire.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
+#include <thread>
+
+#include "kv/kv_store.hpp"
 #include "tests/test_util.hpp"
 
 namespace scot {
@@ -162,6 +169,212 @@ TYPED_TEST(ScotZoneTest, ConcurrentZoneTraversalVsPruning) {
   auto& h = *sh;
   for (Key k = 0; k < 64; ++k) {
     { const bool was_present = list.contains(h, k); const bool erased = list.erase(h, k); EXPECT_EQ(was_present, erased) << "key " << k; }
+  }
+}
+
+// Every retire scans (scan_threshold = 1), so under HP and HE a node is
+// freed as soon as no slot covers it.  The lists and the kv map advance by
+// renaming protection roles instead of copying protections; if a rename
+// ever left a node the traversal still relies on without a slot naming it,
+// readers here would walk freed, recycled nodes.
+template <class Smr>
+class RoleRotationStress : public ::testing::Test {
+ protected:
+  static SmrConfig every_retire_scans() {
+    auto cfg = test::small_config(4);
+    cfg.scan_threshold = 1;
+    return cfg;
+  }
+};
+
+using RotatingSchemes = ::testing::Types<HpDomain, HeDomain>;
+TYPED_TEST_SUITE(RoleRotationStress, RotatingSchemes);
+
+// Keys 0..128 in 32 groups: group g is the pinned key 4g, which stays
+// present throughout, followed by the movable keys 4g+1..4g+3.
+constexpr Key kGroups = 32;
+constexpr Key kStressKeys = 4 * kGroups + 1;
+constexpr bool pinned(Key k) { return k % 4 == 0; }
+
+// The writer's schedule: takes down one present group's movable keys and
+// brings back an absent group's, so freed nodes are recycled at another
+// list position.  Half the groups start absent.
+struct GroupMover {
+  Xoshiro256 rng{11};
+  bool present[kGroups] = {};
+
+  GroupMover() {
+    for (Key g = 0; g < kGroups; g += 2) present[g] = true;
+  }
+  Key pick(bool want_present) {
+    for (;;) {
+      const Key g = rng.next_in(kGroups);
+      if (present[g] == want_present) {
+        present[g] = !want_present;
+        return g;
+      }
+    }
+  }
+};
+
+// std::less that, on reader threads, sleeps before every 64th comparison.
+// Traversals compare curr's key, read through the reference after the
+// sleep, while standing on curr, so a reader stalls on a node its roles
+// must still cover: long enough for the writer to unlink, free and recycle
+// a node no slot covers.
+struct StallingLess {
+  static inline thread_local bool reader = false;
+  bool operator()(const Key& a, const Key& b) const {
+    thread_local unsigned calls = 0;
+    if (reader && ++calls % 64 == 0)
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    return a < b;
+  }
+};
+
+// One writer moves groups: it takes a group down — marking its three
+// movable keys, where the list has the mark-only hook, so they form a
+// chain readers cross — prunes the run with an update settling on the
+// next pinned key, and re-inserts another group.  Three readers alternate
+// get() and contains(): a pinned key must always be found, and a value
+// must belong to its key; a reader that walked a freed, recycled node can
+// skip past a pinned key.  Ends with a drain-check.
+template <class List, class Smr>
+void rotation_stress(Smr& smr, List& list) {
+  GroupMover mover;
+  {
+    auto sh = scoped_handle(smr);
+    auto& h = *sh;
+    for (Key k = 0; k < kStressKeys; ++k) {
+      if (pinned(k) || mover.present[k / 4]) {
+        ASSERT_TRUE(list.insert(h, k, k));
+      }
+    }
+  }
+  const int iters = test::scaled_iters(10000);
+  std::atomic<bool> stop{false};
+  std::atomic<bool> lost_pinned{false};
+  std::atomic<bool> bad_value{false};
+  test::run_threads(4, [&](unsigned tid) {
+    auto sh = scoped_handle(smr);
+    auto& h = *sh;
+    if (tid == 0) {
+      for (int i = 0; i < iters; ++i) {
+        const Key down = 4 * mover.pick(true);
+        for (Key k = down + 1; k < down + 4; ++k) {
+          if constexpr (requires { list.debug_mark_only(h, k); }) {
+            list.debug_mark_only(h, k);
+          } else {
+            list.erase(h, k);
+          }
+        }
+        list.insert(h, down + 4, down + 4);  // pinned: prunes the chain
+        const Key up = 4 * mover.pick(false);
+        for (Key k = up + 1; k < up + 4; ++k) list.insert(h, k, k);
+      }
+      stop.store(true);
+    } else {
+      StallingLess::reader = true;
+      Xoshiro256 rng(tid);
+      for (unsigned i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        const Key k = rng.next_in(kStressKeys);
+        if (i % 2 == 0) {
+          const auto v = list.get(h, k);
+          if (v ? *v != k : pinned(k)) bad_value.store(true);
+        } else if (!list.contains(h, k) && pinned(k)) {
+          lost_pinned.store(true);
+        }
+      }
+    }
+  });
+  EXPECT_FALSE(lost_pinned.load()) << "contains() missed a pinned key";
+  EXPECT_FALSE(bad_value.load()) << "get() missed a pinned key or read "
+                                    "another key's value";
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
+  for (Key k = 0; k < kStressKeys; ++k) {
+    const bool was_present = list.contains(h, k);
+    EXPECT_EQ(was_present, pinned(k) || mover.present[k / 4]) << "key " << k;
+    EXPECT_EQ(was_present, list.erase(h, k)) << "key " << k;
+  }
+}
+
+TYPED_TEST(RoleRotationStress, HList) {
+  TypeParam smr(this->every_retire_scans());
+  HarrisList<Key, Val, TypeParam, HarrisListTraits, StallingLess> list(smr);
+  rotation_stress(smr, list);
+}
+
+TYPED_TEST(RoleRotationStress, HListWaitFree) {
+  TypeParam smr(this->every_retire_scans());
+  HarrisList<Key, Val, TypeParam, HarrisListWaitFreeTraits, StallingLess>
+      list(smr);
+  rotation_stress(smr, list);
+}
+
+TYPED_TEST(RoleRotationStress, HMList) {
+  TypeParam smr(this->every_retire_scans());
+  HarrisMichaelList<Key, Val, TypeParam, StallingLess> list(smr);
+  rotation_stress(smr, list);
+}
+
+// The same group schedule over string keys.  The kv map has no mark-only
+// hook: erase marks and unlinks, and a failed unlink leaves the marked node
+// for the next writer's find to prune.
+TYPED_TEST(RoleRotationStress, OneShardKvStore) {
+  KvStoreOptions o;
+  o.smr = this->every_retire_scans();
+  o.shards = 1;
+  o.initial_buckets_per_shard = 2;  // growth links sentinels mid-run
+  auto store = KvStore::make(*scheme_from_name(TypeParam::kName),
+                             StructureId::kKvHash, o);
+  ASSERT_TRUE(store.has_value());
+  const auto key = [](Key k) { return std::to_string(k); };
+  const auto value = [](Key k) { return std::to_string(~k); };
+  GroupMover mover;
+  {
+    auto s = store->session();
+    for (Key k = 0; k < kStressKeys; ++k) {
+      if (pinned(k) || mover.present[k / 4]) {
+        ASSERT_TRUE(s.put(key(k), value(k)));
+      }
+    }
+  }
+  const int iters = test::scaled_iters(10000);
+  std::atomic<bool> stop{false};
+  std::atomic<bool> lost_pinned{false};
+  std::atomic<bool> bad_value{false};
+  test::run_threads(4, [&](unsigned tid) {
+    auto s = store->session();
+    if (tid == 0) {
+      for (int i = 0; i < iters; ++i) {
+        const Key down = 4 * mover.pick(true);
+        for (Key k = down + 1; k < down + 4; ++k) s.erase(key(k));
+        const Key up = 4 * mover.pick(false);
+        for (Key k = up + 1; k < up + 4; ++k) s.put(key(k), value(k));
+      }
+      stop.store(true);
+    } else {
+      Xoshiro256 rng(tid);
+      for (unsigned i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        const Key k = rng.next_in(kStressKeys);
+        if (i % 2 == 0) {
+          const auto v = s.get(key(k));
+          if (v ? *v != value(k) : pinned(k)) bad_value.store(true);
+        } else if (!s.contains(key(k)) && pinned(k)) {
+          lost_pinned.store(true);
+        }
+      }
+    }
+  });
+  EXPECT_FALSE(lost_pinned.load()) << "contains() missed a pinned key";
+  EXPECT_FALSE(bad_value.load()) << "get() missed a pinned key or read "
+                                    "another key's value";
+  auto s = store->session();
+  for (Key k = 0; k < kStressKeys; ++k) {
+    const bool was_present = s.contains(key(k));
+    EXPECT_EQ(was_present, pinned(k) || mover.present[k / 4]) << "key " << k;
+    EXPECT_EQ(was_present, s.erase(key(k))) << "key " << k;
   }
 }
 

@@ -243,6 +243,97 @@ TYPED_TEST(SlotClearTest, SlotsClearAfterGuardedOp) {
   h.dealloc_unpublished(a);
 }
 
+// swap_roles/rotate_roles rename which slot a role names; the published
+// values stay where they were, and the renamed role writes its new slot.
+TYPED_TEST(SlotClearTest, RoleRenamesMoveIndicesNotValues) {
+  TypeParam smr(this->eight_slots());
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
+  auto* a = h.template alloc<TestNode>(std::uint64_t{1});
+  auto* b = h.template alloc<TestNode>(std::uint64_t{2});
+  std::atomic<TestNode*> src_a{a};
+  std::atomic<TestNode*> src_b{b};
+  {
+    TraversalGuard<typename TypeParam::Handle> g(h);
+    auto x = g.template slot<TestNode>();
+    auto y = g.template slot<TestNode>();
+    auto z = g.template slot<TestNode>();
+    EXPECT_EQ(x.protect(src_a).get(), a);
+    EXPECT_EQ(y.protect(src_b).get(), b);
+    const auto both = this->published(smr);
+    ASSERT_EQ(both.size(), 2u) << "A and B published in two roles";
+    if constexpr (!std::is_same_v<TypeParam, HeDomain>) {
+      EXPECT_EQ(both[0], a);
+      EXPECT_EQ(both[1], b);
+    }
+
+    x.swap_roles(y);
+    EXPECT_EQ(x.index(), 1u);
+    EXPECT_EQ(y.index(), 0u);
+    EXPECT_EQ(this->published(smr), both) << "a swap moves no value";
+
+    // x takes y's slot (0), y takes z's (2), z takes x's old one (1).
+    x.rotate_roles(y, z);
+    EXPECT_EQ(x.index(), 0u);
+    EXPECT_EQ(y.index(), 2u);
+    EXPECT_EQ(z.index(), 1u);
+    EXPECT_EQ(this->published(smr), both) << "a rotation moves no value";
+
+    // The renamed roles write the slots they now name: y fills slot 2, and
+    // z overwrites B's slot 1.
+    y.publish(b);
+    EXPECT_EQ(this->published(smr).size(), 3u);
+    EXPECT_EQ(z.protect(src_a).get(), a);
+    if constexpr (!std::is_same_v<TypeParam, HeDomain>) {
+      const std::vector<ReclaimNode*> want{a, a, b};
+      EXPECT_EQ(this->published(smr), want);
+    }
+  }
+  EXPECT_TRUE(this->published(smr).empty())
+      << "the guard's end_op must reset every renamed role";
+  h.dealloc_unpublished(a);
+  h.dealloc_unpublished(b);
+}
+
+// The slotless schemes keep nothing per role, so a rename is only the index
+// exchange: it compiles against their handles, and protect() through a
+// renamed role still returns the source's value.
+template <class Smr>
+class SlotlessRoleRenameTest : public ::testing::Test {};
+
+using SlotlessSchemes =
+    ::testing::Types<NoReclaimDomain, EbrDomain, IbrDomain, HyalineDomain>;
+TYPED_TEST_SUITE(SlotlessRoleRenameTest, SlotlessSchemes);
+
+TYPED_TEST(SlotlessRoleRenameTest, RenamesExchangeIndicesOnly) {
+  TypeParam smr(test::small_config(2));
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
+  auto* a = h.template alloc<TestNode>(std::uint64_t{1});
+  auto* b = h.template alloc<TestNode>(std::uint64_t{2});
+  std::atomic<TestNode*> src_a{a};
+  std::atomic<TestNode*> src_b{b};
+  {
+    TraversalGuard<typename TypeParam::Handle> g(h);
+    auto x = g.template slot<TestNode>();
+    auto y = g.template slot<TestNode>();
+    auto z = g.template slot<TestNode>();
+    EXPECT_EQ(x.protect(src_a).get(), a);
+    EXPECT_EQ(y.protect(src_b).get(), b);
+    x.swap_roles(y);
+    EXPECT_EQ(x.index(), 1u);
+    EXPECT_EQ(y.index(), 0u);
+    x.rotate_roles(y, z);
+    EXPECT_EQ(x.index(), 0u);
+    EXPECT_EQ(y.index(), 2u);
+    EXPECT_EQ(z.index(), 1u);
+    EXPECT_EQ(z.protect(src_b).get(), b);
+    EXPECT_TRUE(g.valid());
+  }
+  h.dealloc_unpublished(a);
+  h.dealloc_unpublished(b);
+}
+
 TYPED_TEST(SlotClearTest, ListLeavesNoSlotPublished) {
   using Key = std::uint64_t;
   TypeParam smr(this->eight_slots());
