@@ -6,9 +6,9 @@
 //   ./examples/kv_serving            # defaults: IBR, 4 shards
 //   ./examples/kv_serving HP 8
 //
-// Each worker opens one store.session() (joining every shard's SMR domain
-// once) and then routes by key hash: top 16 bits pick the shard, the rest
-// pick the bucket.  The stores start deliberately tiny so each shard's
+// Each worker opens one store.session() (joining the store's one SMR
+// domain, which every shard shares) and then routes by key hash: top 16
+// bits pick the shard, the rest pick the bucket.  The stores start deliberately tiny so each shard's
 // table doubles several times while the workers run; a doubling is one
 // CAS on the bucket count, and new buckets link their sentinels into the
 // shard's split-ordered list on first use.

@@ -68,7 +68,7 @@ CaseResult run_one(const CaseConfig& cfg, std::uint64_t run_seed) {
       options.initial_buckets_per_shard = buckets;
       KvStore store = registered(
           KvStore::make(cfg.scheme, cfg.structure, options), cfg,
-          "AnyKv::make() in src/kv/any_kv.cpp");
+          "KvStore::make() in src/kv/any_kv.cpp");
       detail::KvDriver<KvStore> d{store, cfg};
       return detail::run_measured(d, cfg, run_seed);
     }

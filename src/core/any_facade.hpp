@@ -1,8 +1,9 @@
-// The skeleton every type-erased facade shares (scot::AnyMap, scot::AnyKv,
-// scot::AnyContainer): the domain-side implementation base, the erased
-// session and the facade shell.  A concept adds only its op surface — the
-// virtuals on its Impl interface, the forwarding calls on its Session, and
-// the typed cell in its one translation unit.
+// The skeleton every type-erased facade shares (scot::AnyMap,
+// scot::KvStore, scot::AnyContainer): the domain-side implementation base,
+// the erased session and the facade shell.  A concept adds only its op
+// surface — the virtuals on its Impl interface, the forwarding calls on its
+// Session, and the typed cell (one domain plus its structure or, for
+// KvStore, its shard maps) in its one translation unit.
 //
 // Virtual dispatch sits at operation granularity: a session is
 // {impl*, handle*}, so an operation is one indirect call, and inside it the
@@ -25,7 +26,7 @@
 namespace scot::detail {
 
 // Session membership and the domain observers, common to every concept's
-// erased interface (AnyMapImpl, AnyKvImpl, AnyContainerImpl derive from it
+// erased interface (AnyMapImpl, KvStoreImpl, AnyContainerImpl derive from it
 // and add their ops).  A joined handle crosses the erased boundary as an
 // opaque pointer the session holds.
 class FacadeImpl {

@@ -5,9 +5,9 @@
 // container concept and its paper-CLI mode, and the bench options, the JSON
 // reports and the facades' make() checks all resolve through it.  Structures
 // are grouped by *container concept* (ContainerKind): uint64-keyed maps,
-// string-keyed kv shards, and the queue/stack/deque shapes each have their
+// string-keyed kv stores, and the queue/stack/deque shapes each have their
 // own iteration table and their own type-erased facade (scot::AnyMap,
-// scot::AnyKv, scot::AnyContainer), because their op surfaces differ — but
+// scot::KvStore, scot::AnyContainer), because their op surfaces differ — but
 // they share one StructureId namespace so JSON cell keys, CLI names and
 // grid labels never collide across concepts.
 //
@@ -47,7 +47,7 @@ enum class StructureId {
 // this — never on ad-hoc StructureId comparisons.
 enum class ContainerKind {
   kMap,    // uint64 → uint64 ordered/unordered maps (scot::AnyMap)
-  kKv,     // string-keyed serving shards (scot::AnyKv / KvStore)
+  kKv,     // string-keyed serving store (scot::KvStore)
   kQueue,  // FIFO: push_back / pop_front (scot::AnyQueue)
   kStack,  // LIFO: push_front / pop_front (scot::AnyStack)
   kDeque,  // both ends (scot::AnyDeque)
@@ -82,7 +82,7 @@ inline constexpr StructureId kAllStructures[] = {
 inline constexpr StructureId kAblationStructures[] = {
     StructureId::kHListNoRecovery, StructureId::kHListSimple};
 
-// String-keyed structures served through AnyKv/KvStore (src/kv/).  A
+// String-keyed structures served through KvStore (src/kv/).  A
 // separate table because the uint64-keyed grids above cannot iterate them:
 // the op surface (string_view keys, blob values) is different, so they get
 // their own cross-product tests and "kv:" bench cells.

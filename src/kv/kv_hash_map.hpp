@@ -31,7 +31,6 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -192,10 +191,12 @@ class KvHashMap {
   KvHashMap(const KvHashMap&) = delete;
   KvHashMap& operator=(const KvHashMap&) = delete;
 
-  KvPut put(Handle& h, std::string_view key, std::string_view value) {
+  // Every op takes the key's kv_hash(), which the caller has already
+  // computed to route the key to this shard.
+  KvPut put(Handle& h, std::uint64_t hash, std::string_view key,
+            std::string_view value) {
     if (key.size() > max_key_bytes() || value.size() > max_value_bytes())
       return KvPut::kRejected;
-    const std::uint64_t hash = kv_hash(key);
     const std::uint64_t so = kv_pair_key(hash);
     Guard g(h);
     Hp hp(g);
@@ -229,8 +230,7 @@ class KvHashMap {
     return KvPut::kInserted;
   }
 
-  bool erase(Handle& h, std::string_view key) {
-    const std::uint64_t hash = kv_hash(key);
+  bool erase(Handle& h, std::uint64_t hash, std::string_view key) {
     const std::uint64_t so = kv_pair_key(hash);
     Guard g(h);
     Hp hp(g);
@@ -261,8 +261,8 @@ class KvHashMap {
     }
   }
 
-  bool get(Handle& h, std::string_view key, std::string* out) {
-    const std::uint64_t hash = kv_hash(key);
+  bool get(Handle& h, std::uint64_t hash, std::string_view key,
+           std::string* out) {
     const std::uint64_t so = kv_pair_key(hash);
     Guard g(h);
     Hp hp(g);
@@ -283,14 +283,7 @@ class KvHashMap {
     }
   }
 
-  std::optional<std::string> get(Handle& h, std::string_view key) {
-    std::string out;
-    if (!get(h, key, &out)) return std::nullopt;
-    return out;
-  }
-
-  bool contains(Handle& h, std::string_view key) {
-    const std::uint64_t hash = kv_hash(key);
+  bool contains(Handle& h, std::uint64_t hash, std::string_view key) {
     const std::uint64_t so = kv_pair_key(hash);
     Guard g(h);
     Hp hp(g);
@@ -312,10 +305,6 @@ class KvHashMap {
     return n;
   }
 
-  std::size_t size_approx() const {
-    const std::int64_t s = size_.load(std::memory_order_relaxed);
-    return s > 0 ? static_cast<std::size_t>(s) : 0;
-  }
   std::size_t bucket_count() const {
     return count_.load(std::memory_order_acquire);
   }

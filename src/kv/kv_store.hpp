@@ -1,159 +1,126 @@
-// scot::KvStore — the serving-layer facade: N independent AnyKv shards,
-// each a (scheme × structure) AnyKv cell with its own SMR domain, its
-// own NodePool, and its own split-ordered bucket table (DESIGN.md §10).
+// scot::KvStore — the serving-layer facade: N split-ordered KvHashMap
+// shards over ONE SMR domain, on the shared facade skeleton
+// (core/any_facade.hpp, DESIGN.md §10).
 //
 // Routing.  Keys hash once (kv_hash); the TOP 16 bits pick the shard and
 // the LOW bits pick the bucket inside the shard, so shard choice and
-// bucket choice never correlate even for adversarial key sets.  Shards are
-// fully independent: there is no cross-shard synchronisation on any
-// operation path, and growing one shard's table never touches another.
+// bucket choice never correlate even for adversarial key sets.  The hash
+// is handed to the shard's op, which never recomputes it.  Each shard keeps
+// its own bucket directory and size counter: no operation touches another
+// shard's table, and growing one shard never touches another.
 //
-// SmrConfig inheritance.  KvStoreOptions.smr is handed verbatim to every
-// shard's domain, so one knob configures the whole store: with
-// background_reclaim on, each shard runs its own reclaimer thread (scan
-// cost amortizes per shard); batch_capacity and scan_threshold apply
-// per shard likewise.
+// One domain.  The shards share the store's node pool, handle registry,
+// era clock and — with KvStoreOptions.smr.background_reclaim — its one
+// reclaimer thread.  So pending garbage is bounded per store, not per
+// shard, and the domain observers (stats(), pending_nodes(), restarts(),
+// recoveries(), active_handles()) come straight from Facade.
 //
-// Threading.  Mirrors AnyMap/AnyKv: each worker opens store.session(),
-// which joins *every* shard's handle registry once (N cheap lock-free
-// joins), then routes each operation to the owning shard's session with
-// zero further membership work.
+// Threading.  Mirrors AnyMap: each worker opens store.session(), which
+// joins the domain's handle registry once; a session is {impl*, handle*},
+// so an operation is one virtual call whatever the shard count.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
+#include <utility>
 
-#include "core/registry.hpp"
-#include "kv/any_kv.hpp"
-#include "kv/kv_hash_map.hpp"  // kv_hash
-#include "obs/stats.hpp"
+#include "core/any_facade.hpp"
 #include "smr/smr_config.hpp"
 
 namespace scot {
 
 struct KvStoreOptions {
-  SmrConfig smr;  // inherited verbatim by every shard's domain
+  SmrConfig smr;  // the store's one domain
   unsigned shards = 8;
   std::size_t initial_buckets_per_shard = 16;
   std::size_t max_buckets_per_shard = std::size_t{1} << 20;
   unsigned max_load_factor = 4;
 };
 
-class KvStore {
+namespace detail {
+
+// The kv concept's erased op surface.  One concrete TypedKvStore<Smr> per
+// scheme lives in src/kv/any_kv.cpp.
+class KvStoreImpl : public FacadeImpl {
  public:
-  // Builds `shards` AnyKv cells of (scheme, structure).  Returns nullopt
-  // for a structure outside the kv concept.  Defined in src/kv/any_kv.cpp
-  // next to AnyKv::make().
+  // true = inserted a new key, false = updated an existing one.  Keys or
+  // values beyond the pooled-cell ceiling (put_ok() == false) are rejected
+  // as a no-op returning false; callers that care probe put_ok() first.
+  virtual bool put_with(void* h, std::string_view key,
+                        std::string_view value) = 0;
+  virtual bool erase_with(void* h, std::string_view key) = 0;
+  virtual bool contains_with(void* h, std::string_view key) = 0;
+  virtual bool get_with(void* h, std::string_view key, std::string* out) = 0;
+  virtual bool put_ok(std::string_view key, std::string_view value) const = 0;
+  // Folds over the shard maps.
+  virtual std::size_t size_unsafe() const = 0;
+  virtual std::size_t bucket_count() const = 0;
+  virtual std::uint64_t migrated_buckets() const = 0;
+  virtual unsigned shard_count() const = 0;
+};
+
+}  // namespace detail
+
+class KvStore : public detail::Facade<detail::KvStoreImpl> {
+ public:
+  // Builds one (scheme, structure) store of options.shards shards (0 means
+  // 1).  Returns nullopt for a structure outside the kv concept.  Defined
+  // in src/kv/any_kv.cpp, the only TU that pays for the scheme cross
+  // product.
   static std::optional<KvStore> make(SchemeId scheme, StructureId structure,
                                      const KvStoreOptions& options = {});
 
-  KvStore(KvStore&&) = default;
-  KvStore& operator=(KvStore&&) = default;
-
-  class Session {
+  // One thread's membership in the store's reclamation domain; see
+  // detail::ErasedSession for the contract (move-only, one per thread).
+  class Session : public detail::ErasedSession<detail::KvStoreImpl> {
    public:
     Session() = default;
-    Session(Session&&) = default;
-    Session& operator=(Session&&) = default;
 
+    // Upsert; returns true when the key was newly inserted (false for an
+    // update — or for an oversize pair, see KvStore::put_ok).
     bool put(std::string_view key, std::string_view value) {
-      return shard(kv_hash(key)).put(key, value);
+      return impl_->put_with(h_, key, value);
     }
-    bool erase(std::string_view key) {
-      return shard(kv_hash(key)).erase(key);
-    }
+    bool erase(std::string_view key) { return impl_->erase_with(h_, key); }
     bool contains(std::string_view key) {
-      return shard(kv_hash(key)).contains(key);
+      return impl_->contains_with(h_, key);
     }
     bool get(std::string_view key, std::string* out) {
-      return shard(kv_hash(key)).get(key, out);
+      return impl_->get_with(h_, key, out);
     }
     std::optional<std::string> get(std::string_view key) {
       std::string out;
-      if (!get(key, &out)) return std::nullopt;
+      if (!impl_->get_with(h_, key, &out)) return std::nullopt;
       return out;
     }
 
-    explicit operator bool() const noexcept { return !sessions_.empty(); }
-    void reset() noexcept { sessions_.clear(); }
-
    private:
     friend class KvStore;
-    explicit Session(std::vector<AnyKv>& shards) {
-      sessions_.reserve(shards.size());
-      for (AnyKv& s : shards) sessions_.push_back(s.session());
-    }
-    AnyKv::Session& shard(std::uint64_t hash) {
-      return sessions_[static_cast<std::size_t>(hash >> 48) %
-                       sessions_.size()];
-    }
-
-    std::vector<AnyKv::Session> sessions_;
+    explicit Session(detail::KvStoreImpl* impl) : ErasedSession(impl) {}
   };
 
-  // Opens one session per shard for the calling thread.  The store must
-  // outlive it.
-  Session session() { return Session(shards_); }
+  // Opens a session for the calling thread.  The store must outlive it.
+  Session session() { return Session(impl_.get()); }
 
+  // True when key and value fit the pooled-cell ceiling (~4KB each).
   bool put_ok(std::string_view key, std::string_view value) const {
-    return shards_.front().put_ok(key, value);
+    return impl_->put_ok(key, value);
   }
 
-  // --- observers (aggregated over shards) ---------------------------------
-  std::size_t size_unsafe() {
-    std::size_t n = 0;
-    for (AnyKv& s : shards_) n += s.size_unsafe();
-    return n;
-  }
-  std::int64_t pending_nodes() const {
-    std::int64_t n = 0;
-    for (const AnyKv& s : shards_) n += s.pending_nodes();
-    return n;
-  }
-  std::uint64_t restarts() const {
-    std::uint64_t n = 0;
-    for (const AnyKv& s : shards_) n += s.restarts();
-    return n;
-  }
-  std::uint64_t recoveries() const {
-    std::uint64_t n = 0;
-    for (const AnyKv& s : shards_) n += s.recoveries();
-    return n;
-  }
-  std::size_t bucket_count() const {
-    std::size_t n = 0;
-    for (const AnyKv& s : shards_) n += s.bucket_count();
-    return n;
-  }
-  std::uint64_t migrated_buckets() const {
-    std::uint64_t n = 0;
-    for (const AnyKv& s : shards_) n += s.migrated_buckets();
-    return n;
-  }
-  // One snapshot folded over every shard domain (StatsSnapshot::merge_from:
-  // counters sum, peaks/percentiles max).
-  obs::StatsSnapshot stats() const {
-    obs::StatsSnapshot agg;
-    for (const AnyKv& s : shards_) agg.merge_from(s.stats());
-    return agg;
-  }
-
-  unsigned shard_count() const { return static_cast<unsigned>(shards_.size()); }
-  AnyKv& shard(unsigned i) { return shards_[i]; }
-  SchemeId scheme() const { return shards_.front().scheme(); }
-  StructureId structure() const { return shards_.front().structure(); }
-  const char* scheme_name() const { return shards_.front().scheme_name(); }
-  const char* structure_name() const {
-    return shards_.front().structure_name();
-  }
+  // Walks every shard's list; call only with no operation in flight.
+  std::size_t size_unsafe() const { return impl_->size_unsafe(); }
+  // Resize observability, summed over the shards.
+  std::size_t bucket_count() const { return impl_->bucket_count(); }
+  std::uint64_t migrated_buckets() const { return impl_->migrated_buckets(); }
+  unsigned shard_count() const { return impl_->shard_count(); }
 
  private:
-  explicit KvStore(std::vector<AnyKv> shards) : shards_(std::move(shards)) {}
-
-  std::vector<AnyKv> shards_;
+  KvStore(SchemeId scheme, StructureId structure,
+          std::unique_ptr<detail::KvStoreImpl> impl)
+      : Facade(scheme, structure, std::move(impl)) {}
 };
 
 }  // namespace scot

@@ -115,35 +115,6 @@ struct StatsSnapshot {
   double scan_p99_ns = 0;
   double scan_p999_ns = 0;
 
-  // Folds another domain's snapshot into this one — the per-shard
-  // aggregation behind KvStore::stats().  Counters and gauges sum; peaks
-  // take the max; the scan percentiles also take the max, which is a
-  // deliberately conservative cross-shard tail (exact cross-domain
-  // percentiles would need the raw reservoirs, which the cells do not
-  // keep).
-  void merge_from(const StatsSnapshot& o) noexcept {
-    enabled = enabled || o.enabled;
-    joins += o.joins;
-    leaves += o.leaves;
-    scans += o.scans;
-    heavy_barriers += o.heavy_barriers;
-    era_advances += o.era_advances;
-    orphan_donations += o.orphan_donations;
-    orphan_adoptions += o.orphan_adoptions;
-    bg_rounds += o.bg_rounds;
-    bg_batches_donated += o.bg_batches_donated;
-    bg_adaptations += o.bg_adaptations;
-    limbo_peak = limbo_peak > o.limbo_peak ? limbo_peak : o.limbo_peak;
-    pending += o.pending;
-    retired_total += o.retired_total;
-    reclaimed_total += o.reclaimed_total;
-    scan_count += o.scan_count;
-    scan_p50_ns = scan_p50_ns > o.scan_p50_ns ? scan_p50_ns : o.scan_p50_ns;
-    scan_p99_ns = scan_p99_ns > o.scan_p99_ns ? scan_p99_ns : o.scan_p99_ns;
-    scan_p999_ns =
-        scan_p999_ns > o.scan_p999_ns ? scan_p999_ns : o.scan_p999_ns;
-  }
-
   std::uint64_t counter(Counter c) const noexcept {
     switch (c) {
       case Counter::kJoins: return joins;

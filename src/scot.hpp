@@ -13,8 +13,8 @@
 //   * the container concepts — scot::AnyQueue / AnyStack / AnyDeque over
 //     MSQueue, TreiberStack, and the Michael deque
 //     (core/any_container.hpp; link the `scot_any` library),
-//   * the string-keyed serving layer — scot::AnyKv shards and the sharded
-//     scot::KvStore (kv/; link the `scot_kv` library).
+//   * the string-keyed serving layer — scot::KvStore, N split-ordered
+//     shards over one SMR domain (kv/; link the `scot_kv` library).
 //
 // Typed quick start (per-thread membership is dynamic: scoped_handle()
 // joins the domain's handle registry and leaves at scope exit):
@@ -41,7 +41,6 @@
 #include "core/any_map.hpp"
 #include "core/core.hpp"
 #include "core/registry.hpp"
-#include "kv/any_kv.hpp"
 #include "kv/kv_store.hpp"
 #include "smr/guard.hpp"
 #include "smr/registry.hpp"

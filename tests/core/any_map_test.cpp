@@ -163,28 +163,30 @@ TEST(AnyMap, EveryCellConcurrentChurnSmoke) {
   }
 }
 
-// ---- String-keyed cells (scot::AnyKv, src/kv/) ----------------------------
+// ---- String-keyed cells (scot::KvStore, src/kv/) --------------------------
 // The serving layer reuses the same facade skeleton with typed
 // (string) keys, so the cross-product checks live here next to their
-// integer-keyed siblings.  Deeper resize/hammer coverage is kv_store_test.
+// integer-keyed siblings, over one-shard stores.  Deeper resize/hammer
+// coverage is kv_store_test.
 
-AnyKvOptions small_kv_options(unsigned threads = 2) {
-  AnyKvOptions options;
+KvStoreOptions small_kv_options(unsigned threads = 2) {
+  KvStoreOptions options;
   options.smr = test::small_config(threads);
   options.smr.track_stats = true;
-  options.initial_buckets = 8;
+  options.shards = 1;
+  options.initial_buckets_per_shard = 8;
   return options;
 }
 
 // Every scheme serves the KvHash cell with arbitrary byte-string keys and
 // values: insert-vs-update distinction, read-back, erase, and keys that
 // are not C strings (embedded NUL).
-TEST(AnyKv, StringKeyedCellSemanticsAllSchemes) {
+TEST(KvStore, StringKeyedCellSemanticsAllSchemes) {
   const std::string nul_key = std::string("a\0b", 3);
   for (SchemeId s : kAllSchemes) {
     for (StructureId d : kKvStructures) {
       SCOPED_TRACE(cell_name(s, d));
-      auto kv = AnyKv::make(s, d, small_kv_options());
+      auto kv = KvStore::make(s, d, small_kv_options());
       ASSERT_TRUE(kv.has_value());
       auto session = kv->session();
       EXPECT_TRUE(session.put("alpha", "one"));
@@ -207,13 +209,13 @@ TEST(AnyKv, StringKeyedCellSemanticsAllSchemes) {
 
 // Two-session churn over a small string keyspace for every scheme: the
 // typed-key analogue of EveryCellConcurrentChurnSmoke.
-TEST(AnyKv, StringKeyedChurnSmokeAllSchemes) {
+TEST(KvStore, StringKeyedChurnSmokeAllSchemes) {
   const int iters = test::scaled_iters(600);
   constexpr std::uint64_t kRange = 32;
   for (SchemeId s : kAllSchemes) {
     for (StructureId d : kKvStructures) {
       SCOPED_TRACE(cell_name(s, d));
-      auto kv = AnyKv::make(s, d, small_kv_options(2));
+      auto kv = KvStore::make(s, d, small_kv_options(2));
       ASSERT_TRUE(kv.has_value());
       test::run_threads(2, [&](unsigned tid) {
         auto session = kv->session();

@@ -140,6 +140,7 @@ TYPED_TEST(ScotZoneTest, ConcurrentZoneTraversalVsPruning) {
   // Readers repeatedly cross a marked chain while writers prune and rebuild
   // it; under robust schemes this is exactly the Figure 2 race that SCOT
   // makes safe.
+  const int iters = test::scaled_iters(20000);
   TypeParam smr(test::small_config(4));
   HarrisList<Key, Val, TypeParam> list(smr);
   fill(list, smr, 64);
@@ -149,7 +150,7 @@ TYPED_TEST(ScotZoneTest, ConcurrentZoneTraversalVsPruning) {
     auto& h = *sh;
     if (tid == 0) {
       Xoshiro256 rng(1);
-      for (int i = 0; i < 20000; ++i) {
+      for (int i = 0; i < iters; ++i) {
         // Mark a little run, then prune it via an update traversal.
         const Key base = rng.next_in(60);
         for (Key k = base; k < base + 3; ++k) list.debug_mark_only(h, k);
@@ -383,6 +384,7 @@ TYPED_TEST(ScotZoneTest, RecoveryOptimizationEngagesUnderContention) {
   // into zone escapes (ds_recoveries) instead of full restarts.  We assert
   // the plumbing works: under pruning contention the recovery counter can
   // only be nonzero when the trait is on.
+  const int iters = test::scaled_iters(20000);
   TypeParam smr(test::small_config(4));
   HarrisList<Key, Val, TypeParam, HarrisListNoRecoveryTraits> list(smr);
   fill(list, smr, 32);
@@ -390,7 +392,7 @@ TYPED_TEST(ScotZoneTest, RecoveryOptimizationEngagesUnderContention) {
     auto sh = scoped_handle(smr);
     auto& h = *sh;
     Xoshiro256 rng(tid + 5);
-    for (int i = 0; i < 20000; ++i) {
+    for (int i = 0; i < iters; ++i) {
       const Key k = rng.next_in(32);
       if (rng.next_in(2)) {
         list.debug_mark_only(h, k);

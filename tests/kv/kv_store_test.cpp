@@ -1,9 +1,9 @@
-// scot::kv — semantics of the string-keyed resizable shard (AnyKv /
-// KvHashMap) and the sharded KvStore facade, across every registered
-// scheme.  The hammer at the bottom is the concurrent
+// scot::kv — semantics of the string-keyed resizable shard (KvHashMap)
+// and the sharded KvStore facade over one SMR domain, across every
+// registered scheme.  The hammer at the bottom is the concurrent
 // growth-vs-op-vs-session-churn witness: writers keep a must-survive key
 // set while churn threads update/erase a volatile range, session churners
-// join and leave the shard domains, and the bucket count doubles
+// join and leave the store's domain, and the bucket count doubles
 // repeatedly underneath all of them.
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "kv/any_kv.hpp"
 #include "kv/kv_hash_map.hpp"
 #include "kv/kv_store.hpp"
 #include "tests/test_util.hpp"
@@ -40,10 +39,12 @@ std::string value_of(unsigned i, std::size_t len = 24) {
   return v;
 }
 
-AnyKvOptions small_kv_options(std::size_t initial_buckets = 4) {
-  AnyKvOptions o;
+// A one-shard store: the whole key set in one split-ordered table.
+KvStoreOptions one_shard_options(std::size_t initial_buckets = 4) {
+  KvStoreOptions o;
   o.smr = small_config(8);
-  o.initial_buckets = initial_buckets;
+  o.shards = 1;
+  o.initial_buckets_per_shard = initial_buckets;
   return o;
 }
 
@@ -94,10 +95,10 @@ TEST(KvHash, SplitOrderKeysPlacePairsInsideTheirBucket) {
   }
 }
 
-TEST(AnyKv, EverySchemeRegistersTheKvCell) {
+TEST(KvStore, EverySchemeRegistersTheKvCell) {
   for (const SchemeId scheme : kAllSchemes) {
     for (const StructureId structure : kKvStructures) {
-      auto kv = AnyKv::make(scheme, structure, small_kv_options());
+      auto kv = KvStore::make(scheme, structure, one_shard_options());
       ASSERT_TRUE(kv.has_value()) << scheme_name(scheme);
       EXPECT_EQ(kv->scheme(), scheme);
       EXPECT_EQ(kv->structure(), structure);
@@ -106,17 +107,17 @@ TEST(AnyKv, EverySchemeRegistersTheKvCell) {
   }
   // A map structure is not a kv cell.
   EXPECT_FALSE(
-      AnyKv::make(SchemeId::kEBR, StructureId::kHList, small_kv_options())
+      KvStore::make(SchemeId::kEBR, StructureId::kHList, one_shard_options())
           .has_value());
   // KvHash is name-resolvable but deliberately absent from the uint64 grid.
   EXPECT_EQ(structure_from_name("KvHash"), StructureId::kKvHash);
   for (const StructureId s : kAllStructures) EXPECT_NE(s, StructureId::kKvHash);
 }
 
-TEST(AnyKv, StringSemanticsAllSchemes) {
+TEST(KvStore, StringSemanticsAllSchemes) {
   for (const SchemeId scheme : kAllSchemes) {
     SCOPED_TRACE(scheme_name(scheme));
-    auto kv = AnyKv::make(scheme, StructureId::kKvHash, small_kv_options());
+    auto kv = KvStore::make(scheme, StructureId::kKvHash, one_shard_options());
     ASSERT_TRUE(kv.has_value());
     auto s = kv->session();
 
@@ -144,9 +145,9 @@ TEST(AnyKv, StringSemanticsAllSchemes) {
   }
 }
 
-TEST(AnyKv, OversizePairsAreRejectedAsNoOps) {
-  auto kv = AnyKv::make(SchemeId::kEBR, StructureId::kKvHash,
-                        small_kv_options());
+TEST(KvStore, OversizePairsAreRejectedAsNoOps) {
+  auto kv = KvStore::make(SchemeId::kEBR, StructureId::kKvHash,
+                          one_shard_options());
   ASSERT_TRUE(kv.has_value());
   auto s = kv->session();
   const std::string big(64 * 1024, 'x');
@@ -159,10 +160,10 @@ TEST(AnyKv, OversizePairsAreRejectedAsNoOps) {
   EXPECT_EQ(kv->size_unsafe(), 0u);
 }
 
-TEST(AnyKv, ResizeGrowsTheDirectoryAndKeepsEveryKey) {
+TEST(KvStore, ResizeGrowsTheDirectoryAndKeepsEveryKey) {
   const unsigned kKeys = static_cast<unsigned>(scaled_iters(3000, 4));
-  auto kv = AnyKv::make(SchemeId::kEBR, StructureId::kKvHash,
-                        small_kv_options(/*initial_buckets=*/2));
+  auto kv = KvStore::make(SchemeId::kEBR, StructureId::kKvHash,
+                          one_shard_options(/*initial_buckets=*/2));
   ASSERT_TRUE(kv.has_value());
   EXPECT_EQ(kv->bucket_count(), 2u);
   {
@@ -213,27 +214,38 @@ TEST(KvStore, ShardCountsAgreeOnContent) {
   }
 }
 
-TEST(KvStore, StatsAggregateAcrossShardDomains) {
-  KvStoreOptions o;
-  o.smr = small_config(8);
-  o.smr.track_stats = true;
-  o.shards = 4;
-  o.initial_buckets_per_shard = 2;
-  auto store = KvStore::make(SchemeId::kHP, StructureId::kKvHash, o);
-  ASSERT_TRUE(store.has_value());
-  {
-    auto s = store->session();
-    for (unsigned i = 0; i < 2000; ++i) s.put(key_of(i), value_of(i));
-    for (unsigned i = 0; i < 2000; ++i) s.erase(key_of(i));
+// A store of N shards is one domain: a session is one handle (one join,
+// however many shards), and the background reclaimer is one thread per
+// store.
+TEST(KvStore, ShardsShareOneDomain) {
+  for (const bool bg : {false, true}) {
+    SCOPED_TRACE(bg ? "background_reclaim" : "inline reclaim");
+    KvStoreOptions o;
+    o.smr = small_config(8);
+    o.smr.track_stats = true;
+    o.smr.background_reclaim = bg;
+    o.shards = 8;
+    o.initial_buckets_per_shard = 2;
+    auto store = KvStore::make(SchemeId::kHP, StructureId::kKvHash, o);
+    ASSERT_TRUE(store.has_value());
+    EXPECT_EQ(store->shard_count(), 8u);
+    const unsigned reclaimers = bg ? 1u : 0u;
+    EXPECT_EQ(store->active_handles(), reclaimers);
+    for (unsigned round = 0; round < 3; ++round) {
+      const std::uint64_t joins_before = store->stats().joins;
+      auto s = store->session();
+      EXPECT_EQ(store->active_handles(), 1u + reclaimers);
+      const obs::StatsSnapshot during = store->stats();
+      if (during.enabled) {
+        EXPECT_EQ(during.joins - joins_before, 1u);
+      }
+      for (unsigned i = 0; i < 500; ++i) s.put(key_of(i), value_of(i));
+      for (unsigned i = 0; i < 500; ++i) s.erase(key_of(i));
+    }
+    EXPECT_EQ(store->active_handles(), reclaimers);
+    EXPECT_GT(store->stats().retired_total, 0u);
+    EXPECT_EQ(store->size_unsafe(), 0u);
   }
-  const obs::StatsSnapshot agg = store->stats();
-  // The churn produced retires somewhere; the merged snapshot must show
-  // them, and (when the cells are compiled in) every shard's joins.
-  EXPECT_GT(agg.retired_total, 0u);
-  if (agg.enabled) {
-    EXPECT_GE(agg.joins, 4u);
-  }
-  EXPECT_EQ(store->size_unsafe(), 0u);
 }
 
 // Erase against growth: checkers put+erase their own key and must never
