@@ -66,11 +66,11 @@ inline SmrConfig smr_config_for(const CaseConfig& cfg) {
   scfg.scan_threshold = 128;        // paper calibration
   scfg.era_freq = 12 * cfg.threads; // paper calibration
   // Hyaline's reclaim cadence is the batch handoff, not a limbo scan; the
-  // library's auto capacity (max_threads + 1, the paper's 1S minimum)
+  // library's auto capacity (max_threads + 1, the Hyaline paper's size)
   // would hand off — and, under asymmetric fences, issue a heavy barrier —
   // every handful of retires, ~25x more often than the other schemes'
   // scan_threshold.  Align it with the same per-128-retires calibration
-  // (never below the structural minimum the batch/slot accounting needs).
+  // (never below the auto size).
   scfg.batch_capacity = std::max(cfg.threads + 1u,
                                  static_cast<unsigned>(scfg.scan_threshold));
   scfg.track_stats = cfg.sample_memory;

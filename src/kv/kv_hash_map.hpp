@@ -320,8 +320,11 @@ class KvHashMap {
   // One directory entry: bucket b's sentinel, behind a zeroed allocation
   // header (Hyaline's protect() reads the birth era 16 bytes in front of
   // every node it protects), and the bucket's link state.  Explicit
-  // initializers, because the chunk install value-initialises slots; the
-  // alignment keeps `state` and `sentinel.next` on one cache line.
+  // initializers, because the chunk install value-initialises slots.  A
+  // slot is 96 bytes with `sentinel.next` at offset 48 and `state` at 64,
+  // so the two share a cache line only in slots that start 32 bytes past
+  // one; the alignment just puts the header on a 32-byte boundary, as in
+  // a pooled cell.
   struct alignas(32) BucketSlot {
     AllocHeader hdr{};
     KvNode sentinel{0, 0, nullptr};

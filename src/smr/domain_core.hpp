@@ -228,7 +228,7 @@ class DomainCore {
   void free_chain(ReclaimNode* n, unsigned shard) noexcept {
     while (n != nullptr) {
       ReclaimNode* next = n->smr_next;
-      pool_.free(shard, n, n->alloc_size);
+      pool_.free(shard, n, header_of(n)->alloc_size);
       n = next;
     }
   }

@@ -128,18 +128,7 @@ class HandleCore {
   // atomics).
   template <class T, class... Args>
   T* alloc(Args&&... args) {
-    static_assert(std::is_base_of_v<ReclaimNode, T>);
-    static_assert(std::is_trivially_destructible_v<T>,
-                  "pooled nodes must be trivially destructible");
-    void* mem = dom_->pool().alloc(tid_, sizeof(T));
-    // Stamp the birth era before the node can become reachable.  The header
-    // is outside the object, so placement-new below does not disturb it.
-    header_of(mem)->birth_era.store(derived()->on_alloc_era(),
-                                    std::memory_order_release);
-    T* n = new (mem) T(std::forward<Args>(args)...);
-    n->alloc_size = sizeof(T);
-    n->debug_state = kNodeLive;
-    return n;
+    return alloc_extra<T>(0, std::forward<Args>(args)...);
   }
 
   // alloc() with `extra` trailing bytes for inline variable-length payloads
@@ -157,20 +146,21 @@ class HandleCore {
     const std::size_t bytes = sizeof(T) + extra;
     assert(bytes <= NodePool::max_node_bytes());
     void* mem = dom_->pool().alloc(tid_, bytes);
-    header_of(mem)->birth_era.store(derived()->on_alloc_era(),
-                                    std::memory_order_release);
-    T* n = new (mem) T(std::forward<Args>(args)...);
-    n->alloc_size = static_cast<std::uint32_t>(bytes);
-    n->debug_state = kNodeLive;
-    return n;
+    // Stamp the birth era before the node can become reachable.  The header
+    // is outside the object, so placement-new below does not disturb it.
+    AllocHeader* hdr = header_of(mem);
+    hdr->birth_era.store(derived()->on_alloc_era(), std::memory_order_release);
+    hdr->alloc_size = static_cast<std::uint32_t>(bytes);
+    hdr->debug_state = kNodeLive;
+    return new (mem) T(std::forward<Args>(args)...);
   }
 
   // Frees a node that was never published into a shared structure (e.g. the
   // loser of an insertion CAS).  Bypasses retirement entirely.
   template <class T>
   void dealloc_unpublished(T* n) {
-    assert(n->debug_state == kNodeLive);
-    dom_->pool().free(tid_, n, n->alloc_size);
+    assert(header_of(n)->debug_state == kNodeLive);
+    dom_->pool().free(tid_, n, header_of(n)->alloc_size);
   }
 
   // API v2 typed retirement: accepts the protected view a traversal already
@@ -271,7 +261,7 @@ class LimboHandle : public HandleCore<Domain, Derived> {
   using Base::stats_;
 
   void retire(ReclaimNode* n) {
-    n->debug_state = kNodeRetired;
+    header_of(n)->debug_state = kNodeRetired;
     if constexpr (Derived::kRetireEras)
       n->retire_era = dom_->clock_.load(std::memory_order_acquire);
     limbo_.push(n);
@@ -371,7 +361,7 @@ class LimboHandle : public HandleCore<Domain, Derived> {
       if (reserved(n)) {
         limbo_.push(n);
       } else {
-        dom_->pool().free(this->tid_, n, n->alloc_size);
+        dom_->pool().free(this->tid_, n, header_of(n)->alloc_size);
         ++freed;
       }
       n = next;

@@ -148,7 +148,7 @@ class HandleRegistry {
 
   // High-water record count.  Incremented BEFORE the list push, so a reader
   // that loads head() first and total_records() second always observes
-  // count >= chain length (Hyaline's batch sizing relies on this).
+  // count >= chain length.
   std::size_t total_records() const noexcept {
     return count_.load(std::memory_order_acquire);
   }

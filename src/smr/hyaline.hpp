@@ -8,11 +8,12 @@
 //    count of every batch that appears on it.
 //  * retire() accumulates nodes into a per-thread *batch*.  A full batch is
 //    handed to every active slot whose era could allow the owning thread to
-//    hold a reference (slot era >= batch min birth era — the "1S" filter);
-//    each insertion uses a distinct member node of the batch as the list
-//    entry, which is why the batch must have at least as many nodes as
-//    there are slots.  With dynamic membership the required batch size is
-//    `max(batch_capacity, live records + 1)` — it adapts as threads join.
+//    hold a reference (slot era >= batch min birth era — the "1S" filter).
+//    The paper links a distinct member node into each slot, so its batch
+//    needs a node per slot; here the batch handle carries one
+//    {slot_next, batch} entry per record of the registry snapshot and the
+//    slot lists link those, so a batch of any size covers any number of
+//    slots and the nodes keep no Hyaline words.
 //  * The batch's reference counter starts with a creator guard so that
 //    concurrent leave() decrements cannot hit zero before all insertions
 //    are accounted; whichever thread moves the counter to zero frees the
@@ -31,10 +32,10 @@
 // owned by "whoever drops the last reference".
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <memory>
 
 #include "common/asymfence.hpp"
 #include "obs/stats.hpp"
@@ -56,14 +57,15 @@ class HyalineDomain : public DomainCore<HyalineDomain, HyalineHandle> {
   std::uint64_t era() const noexcept {
     return clock_.load(std::memory_order_acquire);
   }
-  // The configured batch-size floor; the effective threshold also adapts
-  // upward to the live registry size (see HyalineHandle::required_batch).
+  // The configured batch size (the adaptive controller may lower the
+  // effective one).
   unsigned batch_capacity() const noexcept { return reclaim_threshold(cfg_); }
 
   // DomainCore hook: Hyaline's reclaim cadence is the batch size, so that
   // is what the adaptive controller tunes (era_freq rides along for the
-  // clock rate).  0 = auto: max_threads + 1, the minimum that guarantees a
-  // distinct member node per reservation slot.
+  // clock rate).  0 = auto: max_threads + 1, the paper's batch size.  Slot
+  // entries live in the batch handle, so any size is safe; this only sets
+  // how often a seal (and its heavy barrier) runs.
   static unsigned reclaim_threshold(const SmrConfig& cfg) noexcept {
     return cfg.batch_capacity != 0 ? cfg.batch_capacity : cfg.max_threads + 1;
   }
@@ -131,9 +133,7 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
   void revalidate_op() noexcept { restart_ = false; }
 
   void retire(ReclaimNode* n) {
-    n->debug_state = kNodeRetired;
-    n->retire_era = dom_->clock_.load(std::memory_order_acquire);
-    n->batch = nullptr;
+    header_of(n)->debug_state = kNodeRetired;
     push_to_batch(n);
     if (!dom_->bg_.is_active() && splice_mailbox() > 0) {
       obs::count(stats_, obs::Counter::kOrphanAdoptions);
@@ -142,7 +142,7 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
     bump(retired, 1);
     obs::peak(stats_, batch_count_);
     era_tick();
-    if (batch_count_ >= required_batch()) {
+    if (batch_count_ >= dom_->bg_.effective_scan_threshold()) {
       if (dom_->bg_.is_active()) {
         // Donate the accumulated batch whole; the service thread splices
         // it into its own batch and runs the seal (with its single heavy
@@ -167,11 +167,12 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
 
   // --- background-reclaimer hooks (service thread only; DESIGN.md §9) ---
   void bg_collect() { splice_mailbox(); }
-  // Seals only when the spliced batch has enough member nodes for every
-  // registry record; a short batch keeps accumulating until the next
-  // round's adoptions top it up.
+  // Seals at the same batch size as an inline retire; a short batch keeps
+  // accumulating until the next round's adoptions top it up.
   bool bg_reclaim() {
-    if (batch_count_ == 0 || batch_count_ < required_batch()) return false;
+    if (batch_count_ == 0 ||
+        batch_count_ < dom_->bg_.effective_scan_threshold())
+      return false;
     seal_batch();
     return true;
   }
@@ -194,10 +195,18 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
   }
 
  private:
+  struct BatchHandle;
+  // A batch's link in one reservation slot's retirement list.  Owned by
+  // the batch handle, so it dies with the batch.
+  struct SlotEntry {
+    SlotEntry* slot_next;
+    BatchHandle* batch;
+  };
   struct BatchHandle {
     std::atomic<std::int64_t> refs{0};
     ReclaimNode* first = nullptr;
     unsigned count = 0;
+    std::unique_ptr<SlotEntry[]> entries;  // one per snapshotted record
   };
 
   static constexpr std::uintptr_t kActiveEmpty = 0;
@@ -244,20 +253,6 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
     return adopted;
   }
 
-  // A batch needs one member node per live registry record (each
-  // insertion consumes a distinct node as the list entry) plus one, so
-  // the threshold adapts to membership: total_records() is incremented
-  // before a record is published, so this bound can only over-estimate,
-  // never under-estimate, the chain seal_batch() will walk.  The floor is
-  // the effective background threshold (initialized to the batch capacity
-  // and retuned by the adaptive controller; the registry term keeps it
-  // correct regardless of how far the controller lowers it).
-  unsigned required_batch() const noexcept {
-    const auto total =
-        static_cast<unsigned>(dom_->registry_.total_records());
-    return std::max(dom_->bg_.effective_scan_threshold(), total + 1);
-  }
-
   // Hands the accumulated batch to all active, era-overlapping slots.
   // The batch seal is Hyaline's reclaim cadence, so it carries the kScans
   // counter and the scan-latency histogram (nodes are counted as
@@ -278,25 +273,14 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
     auto* snap = dom_->registry_.head();
     unsigned len = 0;
     for (auto* r = snap; r != nullptr; r = r->next_record()) ++len;
-    if (batch_count_ < len + 1) {
-      // The registry grew between the threshold check and the snapshot:
-      // not enough member nodes to give every slot a distinct entry.
-      // Keep accumulating; the next retire re-checks against the larger
-      // required_batch().
-      obs::scan_end(stats_, stats_t0);
-      return;
-    }
     auto* bh = new BatchHandle;
     bh->refs.store(kGuard, std::memory_order_relaxed);
     bh->first = batch_head_;
     bh->count = batch_count_;
-    for (ReclaimNode* n = batch_head_; n != nullptr; n = n->smr_next)
-      n->batch = bh;
+    bh->entries.reset(new SlotEntry[len]);
 
     std::int64_t inserted = 0;
-    ReclaimNode* entry = batch_head_;
-    for (auto* r = snap; r != nullptr && entry != nullptr;
-         r = r->next_record()) {
+    for (auto* r = snap; r != nullptr; r = r->next_record()) {
       auto& slot = r->handle.slot_;
       std::uintptr_t h = slot.head.load(std::memory_order_acquire);
       for (;;) {
@@ -307,12 +291,13 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
           // reference into the batch.
           break;
         }
-        entry->slot_next = reinterpret_cast<ReclaimNode*>(h);
+        SlotEntry& e = bh->entries[inserted];
+        e.slot_next = reinterpret_cast<SlotEntry*>(h);
+        e.batch = bh;
         if (slot.head.compare_exchange_weak(
-                h, reinterpret_cast<std::uintptr_t>(entry),
+                h, reinterpret_cast<std::uintptr_t>(&e),
                 std::memory_order_acq_rel, std::memory_order_acquire)) {
           ++inserted;
-          entry = entry->smr_next;  // consume one member node per slot
           break;
         }
       }
@@ -323,11 +308,11 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
   }
 
   void drain(std::uintptr_t list) noexcept {
-    auto* e = reinterpret_cast<ReclaimNode*>(list);
+    auto* e = reinterpret_cast<SlotEntry*>(list);
     assert(list != kInactive);
     while (e != nullptr) {
-      ReclaimNode* next = e->slot_next;  // read before the batch can die
-      adjust(static_cast<BatchHandle*>(e->batch), -1);
+      SlotEntry* next = e->slot_next;  // read before the batch (and e) die
+      adjust(e->batch, -1);
       e = next;
     }
   }
@@ -342,7 +327,7 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
     ReclaimNode* n = bh->first;
     while (n != nullptr) {
       ReclaimNode* next = n->smr_next;
-      dom_->pool().free(tid_, n, n->alloc_size);
+      dom_->pool().free(tid_, n, header_of(n)->alloc_size);
       ++freed;
       n = next;
     }

@@ -3,8 +3,10 @@
 // Purpose (see DESIGN.md §4):
 //  1. *Type stability.*  Memory handed out for nodes is never returned to the
 //     operating system while the domain lives, and the 16-byte allocation
-//     header (birth era) survives free/reuse.  Hyaline-1S relies on this to
-//     read the birth era of a node that may have been concurrently reclaimed.
+//     header (birth era, size, breadcrumb) survives free/reuse.  Hyaline-1S
+//     relies on this to read the birth era of a node that may have been
+//     concurrently reclaimed.  Free writes two words of a cell: the node's
+//     smr_next (the free-list link, at +8) and the header's debug_state.
 //  2. *Scalability.*  The paper benchmarks with mimalloc because glibc malloc
 //     serializes multi-threaded churn; a per-thread free-list pool reproduces
 //     the same thread-local recycling behaviour without external
@@ -49,6 +51,10 @@ class NodePool {
   // to the 256KB blocks.
   static constexpr std::size_t kNumClasses = 136;  // up to 4352-byte cells
   static constexpr std::size_t kBlockBytes = 256 * 1024;
+  // Blocks start on a cache line and cells are multiples of 32 bytes, so
+  // while a shard carves only 64-byte cells (a list node and its header)
+  // none of them straddles a line.
+  static constexpr std::align_val_t kBlockAlign{kCacheLine};
 
   // `shards` is only the initial population; ensure_shards() grows the
   // directory on demand when late threads join the domain's registry.
@@ -83,7 +89,7 @@ class NodePool {
     const std::size_t cls = class_of(size);
     if (ReclaimNode* n = s.free_lists[cls]) {
       s.free_lists[cls] = n->smr_next;
-      assert(n->debug_state == kNodeFreed);
+      assert(header_of(n)->debug_state == kNodeFreed);
       ++s.reused;
       return n;
     }
@@ -93,7 +99,7 @@ class NodePool {
     if (depot_chains_.load(std::memory_order_relaxed) > 0) {
       if (ReclaimNode* n = depot_take(cls)) {
         s.free_lists[cls] = n->smr_next;
-        assert(n->debug_state == kNodeFreed);
+        assert(header_of(n)->debug_state == kNodeFreed);
         ++s.reused;
         return n;
       }
@@ -107,7 +113,7 @@ class NodePool {
     Shard& s = shard(tid);
     const std::size_t cls = class_of(size);
     auto* n = static_cast<ReclaimNode*>(node);
-    n->debug_state = kNodeFreed;
+    header_of(n)->debug_state = kNodeFreed;
     n->smr_next = s.free_lists[cls];
     s.free_lists[cls] = n;
     ++s.freed;
@@ -166,9 +172,15 @@ class NodePool {
   }
 
  private:
+  struct BlockFree {
+    void operator()(std::byte* p) const noexcept {
+      ::operator delete(p, kBlockAlign);
+    }
+  };
+
   struct Shard {
     ReclaimNode* free_lists[kNumClasses] = {};
-    std::vector<std::unique_ptr<std::byte[]>> blocks;
+    std::vector<std::unique_ptr<std::byte, BlockFree>> blocks;
     std::byte* bump = nullptr;
     std::size_t bump_left = 0;
     std::uint64_t block_bytes = 0;
@@ -192,10 +204,12 @@ class NodePool {
   void* carve(Shard& s, std::size_t cls) {
     const std::size_t cell = (cls + 1) * kGranularity;
     if (s.bump_left < cell) {
-      s.blocks.push_back(std::make_unique<std::byte[]>(kBlockBytes));
-      s.bump = s.blocks.back().get();
-      // Cells stay 16-byte aligned: operator new[] returns max-aligned
-      // memory and cell sizes are multiples of 32.
+      // Not zero-filled: carve writes each cell's header, the node's
+      // constructor the rest, so untouched pages are never faulted in early.
+      std::unique_ptr<std::byte, BlockFree> block(
+          static_cast<std::byte*>(::operator new(kBlockBytes, kBlockAlign)));
+      s.bump = block.get();
+      s.blocks.push_back(std::move(block));
       s.bump_left = kBlockBytes;
       s.block_bytes += kBlockBytes;
     }

@@ -48,7 +48,7 @@ class NrHandle : public HandleCore<NoReclaimDomain, NrHandle> {
   void revalidate_op() noexcept {}
 
   void retire(ReclaimNode* n) noexcept {
-    n->debug_state = kNodeRetired;
+    header_of(n)->debug_state = kNodeRetired;
     bump(retired, 1);
   }
 };

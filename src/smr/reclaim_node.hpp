@@ -1,7 +1,11 @@
 // Intrusive metadata shared by every SMR scheme in the library.
 //
-// All nodes managed by a reclamation domain derive from `ReclaimNode`.  The
-// header fields are only touched by the *owner* of the node's current
+// All nodes managed by a reclamation domain derive from `ReclaimNode`, which
+// is two words: the retire era and one link.  Everything else the library
+// keeps per node lives in the 16-byte allocation header in front of it, so a
+// `ListNode<u64, u64>` plus its header fills exactly one 64-byte pool cell.
+//
+// Every per-node word is touched only by the *owner* of the node's current
 // lifecycle stage (allocator, data structure, retire list, reclaimer), never
 // concurrently, with one deliberate exception: the node's **birth era**.
 //
@@ -9,11 +13,13 @@
 // reclamation of the node (see the SCOT paper, Section 2.2.5: a thread must
 // restart its operation when it observes a node born after the era it
 // published on entry).  To make that read safe we keep the birth era *outside*
-// the C++ node object, in a 16-byte allocation header that the node pool
-// never scribbles over: freeing a node preserves its birth era, and reusing
-// the memory stores the (strictly larger) new era before the node is
-// published.  A racing reader therefore observes either the old era or a
-// newer one — both make its safety check conservative, never unsound.
+// the C++ node object, in the allocation header, which the node pool never
+// scribbles over: freeing a node preserves its birth era, and reusing the
+// memory stores the (strictly larger) new era before the node is published.
+// A racing reader therefore observes either the old era or a newer one —
+// both make its safety check conservative, never unsound.  The header's other
+// two words are owner-only like the node's own; a stale reader never reads
+// them (DESIGN.md §4).
 #pragma once
 
 #include <atomic>
@@ -29,24 +35,12 @@ struct ReclaimNode {
 
   // Multi-purpose link, used at mutually exclusive lifecycle stages:
   //  - limbo-list link (EBR/HP/HE/IBR),
-  //  - batch-membership link (Hyaline),
+  //  - batch-membership link (Hyaline; its slot lists link the batch
+  //    handle's own entries, not nodes),
   //  - pool free-list link (after reclamation).
   ReclaimNode* smr_next = nullptr;
-
-  // Hyaline only: link in a reservation slot's retirement list.  A batch
-  // inserts a *distinct* member node into each active slot, so this link is
-  // never shared between slots.
-  ReclaimNode* slot_next = nullptr;
-
-  // Hyaline only: the batch handle holding the reference counter.
-  void* batch = nullptr;
-
-  // Size the pool handed out for this node (excluding the allocation
-  // header).  Needed so that type-erased reclamation paths (limbo scans,
-  // Hyaline batch frees) can return the memory to the right size class.
-  std::uint32_t alloc_size = 0;
-  std::uint32_t debug_state = 0;  // lifecycle breadcrumb for assertions
 };
+static_assert(sizeof(ReclaimNode) == 16);
 
 // Lifecycle breadcrumbs (debug only; checked by tests and assertions).
 enum : std::uint32_t {
@@ -55,11 +49,18 @@ enum : std::uint32_t {
   kNodeFreed = 0x33333333u,
 };
 
-// The out-of-band allocation header described above.  `birth_era` must stay
-// at a fixed offset from the node and must survive free/reuse cycles.
+// The out-of-band allocation header described above, reached only through
+// header_of().  `birth_era` must stay at a fixed offset from the node and
+// must survive free/reuse cycles; so do the owner-only words after it.
 struct AllocHeader {
   std::atomic<std::uint64_t> birth_era;
-  std::uint64_t pad;
+  // Size the pool handed out for this node (excluding the header), so that
+  // type-erased reclamation paths (limbo scans, Hyaline batch frees) can
+  // return the memory to the right size class.  Written by alloc.
+  std::uint32_t alloc_size;
+  // Lifecycle breadcrumb for assertions: written by alloc, retire and the
+  // pool's free.
+  std::uint32_t debug_state;
 };
 static_assert(sizeof(AllocHeader) == 16);
 

@@ -64,8 +64,9 @@ struct SmrConfig {
   // smaller value: the SCOT list needs 4, the SCOT tree 6, the kv map 7.
   unsigned slots_per_thread = 8;
 
-  // Hyaline batch capacity; 0 = auto (max_threads + 1, the minimum that
-  // guarantees a distinct member node per reservation slot).
+  // Hyaline batch capacity, in retired nodes per seal; 0 = auto
+  // (max_threads + 1, the Hyaline paper's batch size).  Any value is safe:
+  // a batch's slot entries live in its handle, not in member nodes.
   unsigned batch_capacity = 0;
 
   // Give each handle an obs counter cell (src/obs/stats.hpp, DESIGN.md §8);

@@ -6,6 +6,7 @@
 #include <set>
 #include <vector>
 
+#include "core/list_common.hpp"
 #include "tests/test_util.hpp"
 
 namespace scot {
@@ -25,7 +26,7 @@ TEST(NodePool, AllocatesDistinctAlignedCells) {
 TEST(NodePool, FreeThenAllocReusesMemory) {
   NodePool pool(1);
   void* p = pool.alloc(0, 48);
-  static_cast<ReclaimNode*>(p)->alloc_size = 48;
+  header_of(p)->alloc_size = 48;
   pool.free(0, p, 48);
   void* q = pool.alloc(0, 48);
   EXPECT_EQ(p, q) << "same-size free-list should serve LIFO";
@@ -43,10 +44,12 @@ TEST(NodePool, DifferentSizeClassesDoNotMix) {
 TEST(NodePool, BirthEraSurvivesFreeAndReuseIsMonotone) {
   // The Hyaline-1S soundness contract (DESIGN.md §4): the 16-byte header is
   // preserved across free, and a reused cell gets a newer era *before* the
-  // node is published.
+  // node is published.  Free writes only the breadcrumb of the header, and
+  // alloc writes none of it.
   NodePool pool(1);
   void* p = pool.alloc(0, 48);
   header_of(p)->birth_era.store(41, std::memory_order_release);
+  header_of(p)->alloc_size = 48;
   pool.free(0, p, 48);
   EXPECT_EQ(header_of(p)->birth_era.load(std::memory_order_acquire), 41u)
       << "free() must not clobber the allocation header";
@@ -54,6 +57,8 @@ TEST(NodePool, BirthEraSurvivesFreeAndReuseIsMonotone) {
   ASSERT_EQ(p, q);
   EXPECT_EQ(header_of(q)->birth_era.load(std::memory_order_acquire), 41u)
       << "alloc() itself must not reset the header; the handle stamps it";
+  EXPECT_EQ(header_of(q)->alloc_size, 48u);
+  EXPECT_EQ(header_of(q)->debug_state, kNodeFreed);
 }
 
 TEST(NodePool, FreelistLinkDoesNotOverlapHeader) {
@@ -107,10 +112,30 @@ TEST(NodePool, MaxNodeBytesFitsLargestClass) {
 TEST(NodePool, DebugStateTracksLifecycle) {
   NodePool pool(1);
   auto* n = static_cast<ReclaimNode*>(pool.alloc(0, 48));
-  n->debug_state = kNodeLive;
-  n->alloc_size = 48;
+  header_of(n)->debug_state = kNodeLive;
+  header_of(n)->alloc_size = 48;
   pool.free(0, n, 48);
-  EXPECT_EQ(n->debug_state, kNodeFreed);
+  EXPECT_EQ(header_of(n)->debug_state, kNodeFreed);
+}
+
+TEST(NodePool, ListNodeFillsOneCacheLine) {
+  // The SMR base is two words, so a u64 list node plus its header is one
+  // 64-byte cell.
+  EXPECT_EQ(sizeof(ReclaimNode), 16u);
+  using U64Node = ListNode<std::uint64_t, std::uint64_t>;
+  EXPECT_EQ(sizeof(AllocHeader) + sizeof(U64Node), 64u);
+}
+
+TEST(NodePool, LineSizedCellsNeverStraddleALine) {
+  // Blocks start on a cache line, so 64-byte cells carved across three
+  // blocks each fill exactly one line.
+  NodePool pool(1);
+  const int n = static_cast<int>(2 * NodePool::kBlockBytes / 64) + 10;
+  for (int i = 0; i < n; ++i) {
+    void* p = pool.alloc(0, 48);
+    ASSERT_EQ(reinterpret_cast<std::uintptr_t>(header_of(p)) % kCacheLine, 0u)
+        << "cell " << i;
+  }
 }
 
 TEST(NodePool, ManyBlocksWhenExhausted) {

@@ -94,14 +94,14 @@ TYPED_TEST(AsymFenceTest, FallbackScansStillQuiesceReaders) {
     ASSERT_EQ(got, victim);
     writer.retire(victim);
     test::churn_retire(writer, 3000);  // force many scans (heavy barriers)
-    EXPECT_EQ(victim->debug_state, kNodeRetired)
+    EXPECT_EQ(header_of(victim)->debug_state, kNodeRetired)
         << "fallback scans must still observe the reservation"
         << (knob_off ? " (knob off)" : " (forced)");
     EXPECT_EQ(static_cast<TestNode*>(got)->payload, 42u);
     reader.end_op();
 
     reclaim_after_release(writer);
-    EXPECT_EQ(victim->debug_state, kNodeFreed)
+    EXPECT_EQ(header_of(victim)->debug_state, kNodeFreed)
         << "after release the fallback reclaimer must reclaim the node"
         << (knob_off ? " (knob off)" : " (forced)");
   }
@@ -127,7 +127,7 @@ TYPED_TEST(AsymFenceTest, ProtectionHoldsOnEveryPath) {
     ASSERT_EQ(reader.protect(src, 0), victim);
     writer.retire(victim);
     test::churn_retire(writer, 2000);
-    EXPECT_EQ(victim->debug_state, kNodeRetired)
+    EXPECT_EQ(header_of(victim)->debug_state, kNodeRetired)
         << (asym ? "asymmetric" : "fenced") << " path lost a protection";
     reader.end_op();
   }

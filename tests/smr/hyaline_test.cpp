@@ -3,6 +3,8 @@
 // SCOT structures poll through op_valid().
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "tests/test_util.hpp"
 
 namespace scot {
@@ -13,7 +15,9 @@ using test::TestNode;
 TEST(Hyaline, BatchSealsAtCapacity) {
   auto cfg = test::small_config(2);
   HyalineDomain smr(cfg);
-  EXPECT_EQ(smr.batch_capacity(), 3u);  // max_threads + 1
+  // Auto capacity: max_threads + 1, the Hyaline paper's batch size (a
+  // cadence only; see MoreActiveSlotsThanBatchNodes).
+  EXPECT_EQ(smr.batch_capacity(), 3u);
   auto sh = scoped_handle(smr);
   auto& h = sh.get();
   // Below capacity: nodes accumulate in the open batch, nothing freed.
@@ -45,11 +49,56 @@ TEST(Hyaline, ActiveSlotHoldsBatchUntilLeave) {
   }
   EXPECT_EQ(smr.stats().reclaimed_total, 0u)
       << "batch must stay alive while the reader's slot is active";
-  for (auto* p : nodes) EXPECT_EQ(p->debug_state, kNodeRetired);
+  for (auto* p : nodes) {
+    EXPECT_EQ(header_of(p)->debug_state, kNodeRetired);
+  }
   reader.end_op();  // drain the slot: last reference drops here
   EXPECT_EQ(smr.stats().reclaimed_total, 3u)
       << "leave() performs the reclamation (any-thread property)";
-  for (auto* p : nodes) EXPECT_EQ(p->debug_state, kNodeFreed);
+  for (auto* p : nodes) {
+    EXPECT_EQ(header_of(p)->debug_state, kNodeFreed);
+  }
+}
+
+TEST(Hyaline, MoreActiveSlotsThanBatchNodes) {
+  // Slot lists link the batch handle's entries, not member nodes, so a
+  // 2-node batch is handed to all 6 active slots and freed exactly once,
+  // by whichever slot drains last.
+  auto cfg = test::small_config(8);
+  cfg.batch_capacity = 2;
+  HyalineDomain smr(cfg);
+  auto writer_h = scoped_handle(smr);
+  auto& writer = writer_h.get();
+  TestNode* nodes[2];
+  for (auto*& p : nodes) p = writer.template alloc<TestNode>(std::uint64_t{7});
+  // The readers enter after the nodes' birth, so the 1S filter keeps them.
+  std::vector<ScopedHandle<HyalineDomain>> readers;
+  for (int i = 0; i < 6; ++i) {
+    readers.push_back(scoped_handle(smr));
+    readers.back()->begin_op();
+  }
+  for (auto* p : nodes) writer.retire(p);
+  EXPECT_EQ(writer.pending_batch_size(), 0u) << "the batch must have sealed";
+  for (auto& r : readers) {
+    EXPECT_EQ(smr.stats().reclaimed_total, 0u)
+        << "every active slot holds a reference";
+    r->end_op();
+  }
+  EXPECT_EQ(smr.stats().reclaimed_total, 2u);
+  EXPECT_EQ(smr.pending_nodes(), 0);
+  for (auto* p : nodes) {
+    EXPECT_EQ(header_of(p)->debug_state, kNodeFreed);
+  }
+  // Freed once each: the last reader's free list holds the two cells and
+  // nothing more, so a third allocation carves.
+  auto& last = readers.back().get();
+  const auto carved = smr.pool().total_carved();
+  TestNode* again[3];
+  for (auto*& p : again) p = last.template alloc<TestNode>(std::uint64_t{0});
+  EXPECT_TRUE((again[0] == nodes[0] && again[1] == nodes[1]) ||
+              (again[0] == nodes[1] && again[1] == nodes[0]));
+  EXPECT_EQ(smr.pool().total_carved(), carved + 1);
+  for (auto* p : again) last.dealloc_unpublished(p);
 }
 
 TEST(Hyaline, YoungNodeTriggersRestartSignal) {

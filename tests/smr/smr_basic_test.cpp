@@ -26,8 +26,8 @@ TYPED_TEST(SmrBasicTest, AllocConstructsAndStampsMetadata) {
   auto* n = h.template alloc<TestNode>(std::uint64_t{77});
   ASSERT_NE(n, nullptr);
   EXPECT_EQ(n->payload, 77u);
-  EXPECT_EQ(n->alloc_size, sizeof(TestNode));
-  EXPECT_EQ(n->debug_state, kNodeLive);
+  EXPECT_EQ(header_of(n)->alloc_size, sizeof(TestNode));
+  EXPECT_EQ(header_of(n)->debug_state, kNodeLive);
   h.dealloc_unpublished(n);
 }
 

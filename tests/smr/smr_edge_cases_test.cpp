@@ -407,7 +407,7 @@ TEST(NrEdge, RetireIsTerminal) {
   auto& h = sh.get();
   auto* n = h.template alloc<TestNode>(std::uint64_t{7});
   h.retire(n);
-  EXPECT_EQ(n->debug_state, kNodeRetired);
+  EXPECT_EQ(header_of(n)->debug_state, kNodeRetired);
   EXPECT_EQ(smr.pending_nodes(), 1);
   // NR never reuses the cell.
   auto* m = h.template alloc<TestNode>(std::uint64_t{8});

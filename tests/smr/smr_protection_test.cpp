@@ -77,7 +77,7 @@ TYPED_TEST(SmrProtectionTest, ProtectedNodeSurvivesRetireChurn) {
 
     // The victim must not have been recycled: its payload and lifecycle
     // breadcrumb are intact (a freed cell would be kNodeFreed or reused).
-    EXPECT_EQ(victim->debug_state, kNodeRetired);
+    EXPECT_EQ(header_of(victim)->debug_state, kNodeRetired);
     EXPECT_EQ(static_cast<TestNode*>(got)->payload, 42u);
     reader.end_op();
   }
@@ -113,7 +113,7 @@ TYPED_TEST(SmrProtectionTest, ReleasedNodeIsEventuallyReclaimed) {
       writer.retire(f1);
       writer.retire(f2);
     }
-    EXPECT_EQ(victim->debug_state, kNodeFreed)
+    EXPECT_EQ(header_of(victim)->debug_state, kNodeFreed)
         << "after protection release the node must be reclaimable";
   }
 }
@@ -141,7 +141,7 @@ TYPED_TEST(SmrProtectionTest, DupTransfersProtectionUpward) {
 
     writer.retire(victim);
     test::churn_retire(writer, 3000);
-    EXPECT_EQ(victim->debug_state, kNodeRetired)
+    EXPECT_EQ(header_of(victim)->debug_state, kNodeRetired)
         << "dup'd protection in slot 3 must keep the victim alive";
     reader.end_op();
 
@@ -169,7 +169,7 @@ TYPED_TEST(SmrProtectionTest, MultipleIndependentSlots) {
     for (auto* n : nodes) writer.retire(n);
     test::churn_retire(writer, 3000);
     for (auto* n : nodes) {
-      EXPECT_EQ(n->debug_state, kNodeRetired);
+      EXPECT_EQ(header_of(n)->debug_state, kNodeRetired);
     }
     reader.end_op();
   }

@@ -93,7 +93,8 @@ TYPED_TEST(SmrRobustnessTest, ManyStalledReadersStillBounded) {
     test::churn_retire(writer, test::scaled_iters(20000));
     EXPECT_LT(smr.pending_nodes(), 4096);
     for (auto* v : victims) {
-      EXPECT_EQ(v->debug_state, kNodeRetired) << "victims remain protected";
+      EXPECT_EQ(header_of(v)->debug_state, kNodeRetired)
+          << "victims remain protected";
     }
     for (auto& r : readers) r->end_op();
   }
