@@ -1,9 +1,10 @@
 // Microbenchmarks of the SMR primitives: the per-node cost of a protected
 // pointer chase, and the per-call cost of dup / begin+end / alloc+retire
-// for every scheme.  These expose the mechanism behind the figure-level
-// results: HP pays a fence per protect on the fence path, HE amortizes it
-// per era change, IBR/Hyaline make dup free, and HPopt's snapshot scan
-// beats HP's per-node rescan on retire-heavy loads.
+// for every scheme; plus kv_hash/16, the per-key routing hash every kv op
+// pays whatever the scheme.  These expose the mechanism behind the
+// figure-level results: HP pays a fence per protect on the fence path, HE
+// amortizes it per era change, IBR/Hyaline make dup free, and HPopt's
+// snapshot scan beats HP's per-node rescan on retire-heavy loads.
 //
 // Two modes:
 //  * default           — the google-benchmark suite.  chase/* is the
@@ -42,6 +43,7 @@
 #include "common/timing.hpp"
 #include "common/xorshift.hpp"
 #include "core/core.hpp"
+#include "kv/kv_hash_map.hpp"
 
 namespace {
 
@@ -163,6 +165,24 @@ void BM_AllocRetire(benchmark::State& state) {
     h.retire(n);
   }
 }
+
+// kv_hash over 16-byte keys shaped like perfbench kv-serve's ("user" + 12
+// digits).  Each hash picks the next key, so the cell is the hash's latency
+// on an op's critical path, not the throughput of overlapped hashes
+// (items/s = keys hashed).
+void BM_KvHash16(benchmark::State& state) {
+  constexpr std::size_t kKeys = 1024;
+  std::vector<char> keys(kKeys * 16 + 1);
+  for (std::size_t i = 0; i < kKeys; ++i)
+    std::snprintf(keys.data() + i * 16, 17, "user%012zu", i * 7919);
+  std::uint64_t h = 0;
+  for (auto _ : state) {
+    h = kv_hash(std::string_view(keys.data() + (h % kKeys) * 16, 16));
+    benchmark::DoNotOptimize(h);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_KvHash16)->Name("kv_hash/16");
 
 #define SCOT_REGISTER_SCHEME(scheme)                                   \
   BENCHMARK(BM_Dup<scheme>)->Name("dup/" #scheme);                     \

@@ -43,14 +43,27 @@
 
 namespace scot {
 
-// FNV-1a over the key bytes with a SplitMix64 finalizer: the low bits pick
-// the bucket and the high bits pick the KvStore shard, so both need full
-// avalanche.
+// Word-at-a-time over the key: the length seeds the state (so a zero-padded
+// tail cannot alias a shorter key), each 8-byte word is folded in with a
+// multiply and an xor-shift, and a SplitMix64 finalizer avalanches the
+// result.  The low bits pick the bucket and the high bits pick the KvStore
+// shard, so both need full avalanche.
 inline std::uint64_t kv_hash(std::string_view key) noexcept {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+  const char* p = key.data();
+  std::size_t n = key.size();
+  std::uint64_t h = 0x2545f4914f6cdd1dULL ^ (n * kMul);
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t w;
+    std::memcpy(&w, p, 8);
+    h = (h ^ w) * kMul;
+    h ^= h >> 32;
+  }
+  if (n != 0) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p, n);
+    h = (h ^ w) * kMul;
+    h ^= h >> 32;
   }
   h ^= h >> 30;
   h *= 0xbf58476d1ce4e5b9ULL;

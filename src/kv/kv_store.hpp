@@ -2,12 +2,13 @@
 // shards over ONE SMR domain, on the shared facade skeleton
 // (core/any_facade.hpp, DESIGN.md §10).
 //
-// Routing.  Keys hash once (kv_hash); the TOP 16 bits pick the shard and
-// the LOW bits pick the bucket inside the shard, so shard choice and
-// bucket choice never correlate even for adversarial key sets.  The hash
-// is handed to the shard's op, which never recomputes it.  Each shard keeps
-// its own bucket directory and size counter: no operation touches another
-// shard's table, and growing one shard never touches another.
+// Routing.  Keys hash once (kv_hash: 8 key bytes per step, then a
+// SplitMix64 finalizer); the TOP 16 bits pick the shard and the LOW bits
+// pick the bucket inside the shard, so shard choice and bucket choice
+// never correlate even for adversarial key sets.  The hash is handed to
+// the shard's op, which never recomputes it.  Each shard keeps its own
+// bucket directory and size counter: no operation touches another shard's
+// table, and growing one shard never touches another.
 //
 // One domain.  The shards share the store's node pool, handle registry,
 // era clock and — with KvStoreOptions.smr.background_reclaim — its one

@@ -7,6 +7,9 @@
 //     relies on this to read the birth era of a node that may have been
 //     concurrently reclaimed.  Free writes two words of a cell: the node's
 //     smr_next (the free-list link, at +8) and the header's debug_state.
+//     The memory outlives the domain too: a destroyed pool hands its 2 MiB
+//     blocks to a process-wide block cache, and the next pool carves them
+//     again, already faulted in, instead of mapping fresh ones.
 //  2. *Scalability.*  The paper benchmarks with mimalloc because glibc malloc
 //     serializes multi-threaded churn; a per-thread free-list pool reproduces
 //     the same thread-local recycling behaviour without external
@@ -35,6 +38,13 @@
 #include <new>
 #include <vector>
 
+#if defined(__linux__)
+#include <sys/mman.h>
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 #include "common/align.hpp"
 #include "common/chunked_list.hpp"
 #include "smr/reclaim_node.hpp"
@@ -50,7 +60,13 @@ class NodePool {
   // bytes; the free-list array per shard grows to ~1KB, which is noise next
   // to the 256KB blocks.
   static constexpr std::size_t kNumClasses = 136;  // up to 4352-byte cells
+  // A shard's first block is small, so a shard that stays small keeps a
+  // small footprint; every later block is one 2 MiB huge page.
   static constexpr std::size_t kBlockBytes = 256 * 1024;
+  static constexpr std::size_t kHugeBlockBytes = 2 * 1024 * 1024;
+  // Destroyed pools park at most this many 2 MiB blocks (128 MiB) in the
+  // process-wide block cache; past it they are unmapped.
+  static constexpr std::size_t kBlockCacheCap = 64;
   // Blocks start on a cache line and cells are multiples of 32 bytes, so
   // while a shard carves only 64-byte cells (a list node and its header)
   // none of them straddles a line.
@@ -171,16 +187,45 @@ class NodePool {
     return kNumClasses * kGranularity - sizeof(AllocHeader);
   }
 
+  // Blocks parked in the process-wide block cache.
+  static std::size_t cached_blocks() {
+    BlockCache& c = block_cache();
+    std::lock_guard<std::mutex> lock(c.mu);
+    return c.count;
+  }
+
  private:
-  struct BlockFree {
+  // A mapped block is a 2 MiB huge-page mapping that goes back to the block
+  // cache; any other block came from aligned operator new.
+  struct BlockRelease {
+    bool mapped = false;
     void operator()(std::byte* p) const noexcept {
-      ::operator delete(p, kBlockAlign);
+      if (mapped) {
+        release_mapped(p);
+      } else {
+        ::operator delete(p, kBlockAlign);
+      }
     }
   };
+  using Block = std::unique_ptr<std::byte, BlockRelease>;
+
+  // The 2 MiB blocks of destroyed pools, most recently released on top.
+  // Leaked on purpose (block_cache()), so a domain destroyed during static
+  // destruction can still return its blocks.
+  struct BlockCache {
+    std::mutex mu;
+    std::size_t count = 0;
+    std::byte* blocks[kBlockCacheCap] = {};
+  };
+
+  static BlockCache& block_cache() {
+    static BlockCache* const cache = new BlockCache;
+    return *cache;
+  }
 
   struct Shard {
     ReclaimNode* free_lists[kNumClasses] = {};
-    std::vector<std::unique_ptr<std::byte, BlockFree>> blocks;
+    std::vector<Block> blocks;
     std::byte* bump = nullptr;
     std::size_t bump_left = 0;
     std::uint64_t block_bytes = 0;
@@ -203,16 +248,7 @@ class NodePool {
 
   void* carve(Shard& s, std::size_t cls) {
     const std::size_t cell = (cls + 1) * kGranularity;
-    if (s.bump_left < cell) {
-      // Not zero-filled: carve writes each cell's header, the node's
-      // constructor the rest, so untouched pages are never faulted in early.
-      std::unique_ptr<std::byte, BlockFree> block(
-          static_cast<std::byte*>(::operator new(kBlockBytes, kBlockAlign)));
-      s.bump = block.get();
-      s.blocks.push_back(std::move(block));
-      s.bump_left = kBlockBytes;
-      s.block_bytes += kBlockBytes;
-    }
+    if (s.bump_left < cell) add_block(s);
     std::byte* cellp = s.bump;
     s.bump += cell;
     s.bump_left -= cell;
@@ -220,6 +256,90 @@ class NodePool {
     auto* hdr = new (cellp) AllocHeader{};
     hdr->birth_era.store(0, std::memory_order_relaxed);
     return cellp + sizeof(AllocHeader);
+  }
+
+  // Gives the shard a fresh block to carve.  Not zero-filled: carve writes
+  // each cell's header, the node's constructor the rest, so untouched pages
+  // are never faulted in early.  A recycled block holds a dead domain's
+  // cells; the header carve writes is all a reader of the new domain can
+  // see of them.  Out of line, so alloc's fast path (carve inlines into
+  // it) stays as small as it was with operator new: inlined, the block
+  // code cost perfbench list-read mops.HLN ~5%.
+  [[gnu::noinline]] static void add_block(Shard& s) {
+    const std::size_t bytes = s.blocks.empty() ? kBlockBytes : kHugeBlockBytes;
+    s.blocks.push_back(take_block(bytes));
+    s.bump = s.blocks.back().get();
+    s.bump_left = bytes;
+    s.block_bytes += bytes;
+  }
+
+  // The one block function.  A 2 MiB block comes from the block cache, else
+  // from a fresh huge-page mapping; a small block, or a huge one where
+  // mmap/madvise is missing or fails, comes from aligned operator new.
+  static Block take_block(std::size_t bytes) {
+    if (bytes == kHugeBlockBytes) {
+      if (std::byte* p = take_mapped()) return Block(p, BlockRelease{true});
+    }
+    return Block(static_cast<std::byte*>(::operator new(bytes, kBlockAlign)),
+                 BlockRelease{false});
+  }
+
+  static std::byte* take_mapped() noexcept {
+#if defined(MADV_HUGEPAGE)
+    BlockCache& c = block_cache();
+    {
+      std::lock_guard<std::mutex> lock(c.mu);
+      if (c.count > 0) {
+        std::byte* p = c.blocks[--c.count];
+#if defined(__SANITIZE_ADDRESS__)
+        ASAN_UNPOISON_MEMORY_REGION(p, kHugeBlockBytes);
+#endif
+        return p;
+      }
+    }
+    // Over-map by one block, then trim to one 2 MiB-aligned block, so the
+    // kernel can back it with a single huge page.
+    void* raw = ::mmap(nullptr, 2 * kHugeBlockBytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (raw == MAP_FAILED) return nullptr;
+    const auto base = reinterpret_cast<std::uintptr_t>(raw);
+    const std::uintptr_t aligned =
+        (base + kHugeBlockBytes - 1) & ~std::uintptr_t{kHugeBlockBytes - 1};
+    const std::size_t head = aligned - base;
+    if (head != 0) ::munmap(raw, head);
+    ::munmap(reinterpret_cast<void*>(aligned + kHugeBlockBytes),
+             kHugeBlockBytes - head);
+    auto* p = reinterpret_cast<std::byte*>(aligned);
+    if (::madvise(p, kHugeBlockBytes, MADV_HUGEPAGE) != 0) {
+      ::munmap(p, kHugeBlockBytes);
+      return nullptr;
+    }
+    return p;
+#else
+    return nullptr;
+#endif
+  }
+
+  // Parks a mapped block in the block cache, or unmaps it past the cap.
+  // Under ASan a parked block is poisoned, so a touch of a dead domain's
+  // node is still reported.
+  static void release_mapped(std::byte* p) noexcept {
+#if defined(MADV_HUGEPAGE)
+    BlockCache& c = block_cache();
+    {
+      std::lock_guard<std::mutex> lock(c.mu);
+      if (c.count < kBlockCacheCap) {
+#if defined(__SANITIZE_ADDRESS__)
+        ASAN_POISON_MEMORY_REGION(p, kHugeBlockBytes);
+#endif
+        c.blocks[c.count++] = p;
+        return;
+      }
+    }
+    ::munmap(p, kHugeBlockBytes);
+#else
+    (void)p;
+#endif
   }
 
   // Pops one chain of class `cls` from the depot (nullptr if none).  The

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/list_common.hpp"
@@ -11,6 +15,46 @@
 
 namespace scot {
 namespace {
+
+constexpr std::uintptr_t kHugeMask = NodePool::kHugeBlockBytes - 1;
+
+// The bracketed mode in the transparent-huge-page switch ("always",
+// "madvise" or "never"); empty when the kernel has no THP support.
+std::string thp_mode() {
+  std::ifstream in("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string word;
+  while (in >> word) {
+    if (word.size() > 2 && word.front() == '[' && word.back() == ']')
+      return word.substr(1, word.size() - 2);
+  }
+  return {};
+}
+
+// The VmFlags line of the /proc/self/smaps mapping that holds `p`.
+std::string vm_flags_of(const void* p) {
+  const auto addr = reinterpret_cast<std::uintptr_t>(p);
+  std::ifstream in("/proc/self/smaps");
+  std::string line;
+  bool inside = false;
+  while (std::getline(in, line)) {
+    unsigned long lo = 0, hi = 0;
+    if (std::sscanf(line.c_str(), "%lx-%lx", &lo, &hi) == 2) {
+      inside = lo <= addr && addr < hi;
+    } else if (inside && line.rfind("VmFlags:", 0) == 0) {
+      return line;
+    }
+  }
+  return {};
+}
+
+// The base of the 2 MiB block a pool carves its next 64-byte cell from,
+// once the shard's first (small) block is used up.
+std::uintptr_t first_huge_block(NodePool& pool) {
+  for (std::size_t i = 0; i < NodePool::kBlockBytes / 64; ++i)
+    (void)pool.alloc(0, 48);
+  return reinterpret_cast<std::uintptr_t>(header_of(pool.alloc(0, 48))) &
+         ~kHugeMask;
+}
 
 TEST(NodePool, AllocatesDistinctAlignedCells) {
   NodePool pool(1);
@@ -127,10 +171,11 @@ TEST(NodePool, ListNodeFillsOneCacheLine) {
 }
 
 TEST(NodePool, LineSizedCellsNeverStraddleALine) {
-  // Blocks start on a cache line, so 64-byte cells carved across three
-  // blocks each fill exactly one line.
+  // Blocks start on a cache line, so 64-byte cells carved across the first
+  // small block and two huge blocks each fill exactly one line.
   NodePool pool(1);
-  const int n = static_cast<int>(2 * NodePool::kBlockBytes / 64) + 10;
+  const int n = static_cast<int>(
+      (NodePool::kBlockBytes + NodePool::kHugeBlockBytes) / 64 + 10);
   for (int i = 0; i < n; ++i) {
     void* p = pool.alloc(0, 48);
     ASSERT_EQ(reinterpret_cast<std::uintptr_t>(header_of(p)) % kCacheLine, 0u)
@@ -140,10 +185,82 @@ TEST(NodePool, LineSizedCellsNeverStraddleALine) {
 
 TEST(NodePool, ManyBlocksWhenExhausted) {
   NodePool pool(1);
-  // 256 KiB blocks of 64-byte cells -> force at least two blocks.
+  // One cell past the 256 KiB first block takes a 2 MiB block.
   const int n = static_cast<int>(NodePool::kBlockBytes / 64) + 10;
   for (int i = 0; i < n; ++i) (void)pool.alloc(0, 48);
-  EXPECT_GE(pool.total_block_bytes(), 2 * NodePool::kBlockBytes);
+  EXPECT_EQ(pool.total_block_bytes(),
+            NodePool::kBlockBytes + NodePool::kHugeBlockBytes);
+}
+
+TEST(NodePool, HugeBlocksAre2MiBAlignedAndAdvised) {
+  const std::string mode = thp_mode();
+  if (mode.empty() || mode == "never")
+    GTEST_SKIP() << "transparent huge pages unavailable (mode '" << mode
+                 << "')";
+  // Carve through the first block and into a third: the first cell of each
+  // huge block starts the block, 2 MiB-aligned, in a MADV_HUGEPAGE mapping.
+  NodePool pool(1);
+  const std::size_t first = NodePool::kBlockBytes / 64;
+  const std::size_t per_huge = NodePool::kHugeBlockBytes / 64;
+  for (std::size_t i = 0; i < first + 2 * per_huge + 1; ++i) {
+    void* cell = header_of(pool.alloc(0, 48));
+    if (i < first || (i - first) % per_huge != 0) continue;
+    ASSERT_EQ(reinterpret_cast<std::uintptr_t>(cell) & kHugeMask, 0u)
+        << "cell " << i;
+    const std::string flags = vm_flags_of(cell);
+    EXPECT_NE(flags.find(" hg"), std::string::npos)
+        << "cell " << i << ": " << flags;
+  }
+}
+
+TEST(NodePool, BlocksOutliveTheirPool) {
+  if (thp_mode().empty())
+    GTEST_SKIP() << "no huge-page mappings: blocks come from operator new";
+  // A destroyed pool parks its huge block; the next pool carves it again.
+  std::uintptr_t released = 0;
+  {
+    NodePool a(1);
+    released = first_huge_block(a);
+  }
+  EXPECT_GE(NodePool::cached_blocks(), 1u);
+  {
+    NodePool b(1);
+    EXPECT_EQ(first_huge_block(b), released);
+  }
+  // More pools die at once than the cache holds: it stops at its cap and
+  // the rest are unmapped.
+  {
+    std::vector<std::unique_ptr<NodePool>> pools;
+    std::set<std::uintptr_t> blocks;
+    for (std::size_t i = 0; i < NodePool::kBlockCacheCap + 4; ++i) {
+      pools.push_back(std::make_unique<NodePool>(1));
+      EXPECT_TRUE(blocks.insert(first_huge_block(*pools.back())).second)
+          << "two live pools share a block";
+    }
+    EXPECT_EQ(NodePool::cached_blocks(), 0u);
+  }
+  EXPECT_EQ(NodePool::cached_blocks(), NodePool::kBlockCacheCap);
+}
+
+TEST(NodePool, ConcurrentPoolsShareTheBlockCache) {
+  // Pools are created, filled and destroyed on four threads at once, so
+  // blocks move between them through the cache.  Every cell carries its
+  // owner's stamp; a block handed to two live pools would break one.
+  const int rounds = test::scaled_iters(40);
+  const std::size_t cells = NodePool::kBlockBytes / 64 + 4096;
+  test::run_threads(4, [&](unsigned t) {
+    std::vector<std::uint64_t*> mine(cells);
+    for (int r = 0; r < rounds; ++r) {
+      NodePool pool(1);
+      const std::uint64_t stamp = (std::uint64_t{t} << 32) | r;
+      for (auto& c : mine) {
+        c = static_cast<std::uint64_t*>(pool.alloc(0, 48)) + 2;
+        *c = stamp;
+      }
+      for (auto* c : mine) ASSERT_EQ(*c, stamp);
+    }
+  });
+  EXPECT_LE(NodePool::cached_blocks(), NodePool::kBlockCacheCap);
 }
 
 }  // namespace

@@ -7,10 +7,12 @@
 // repeatedly underneath all of them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdio>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -57,6 +59,41 @@ TEST(KvHash, HashAvalanchesLowAndHighBits) {
   EXPECT_NE(a >> 48, b >> 48);
   EXPECT_NE(a & 0xffff, b & 0xffff);
   EXPECT_EQ(kv_hash("abc"), kv_hash(std::string("abc")));
+}
+
+TEST(KvHash, PrefixKeysOfEveryLengthHashApart) {
+  // The word loop zero-pads a key's tail, so keys that differ only in
+  // length must still hash apart, including runs of NUL bytes.
+  for (const std::string& full :
+       {std::string("abcdefghijklmnopqrstuvwx"), std::string(24, '\0')}) {
+    std::set<std::uint64_t> seen;
+    for (std::size_t len = 0; len <= full.size(); ++len)
+      EXPECT_TRUE(seen.insert(kv_hash(std::string_view(full).substr(0, len)))
+                      .second)
+          << "length " << len;
+  }
+  EXPECT_NE(kv_hash("a"), kv_hash(std::string_view("a\0", 2)));
+}
+
+TEST(KvHash, BenchShapedKeysSpreadOverShardsAndBuckets) {
+  // 100k keys shaped like perfbench's ("user" + 12 digits), routed as
+  // KvStore routes them: the top 16 bits pick one of 8 shards, the low
+  // bits one of 4,096 buckets per shard.
+  constexpr unsigned kKeys = 100000, kShards = 8, kBuckets = 4096;
+  std::vector<unsigned> shard(kShards), chain(kShards * kBuckets);
+  char key[17];
+  for (unsigned i = 0; i < kKeys; ++i) {
+    std::snprintf(key, sizeof(key), "user%012u", i);
+    const std::uint64_t h = kv_hash(std::string_view(key, 16));
+    const unsigned s = static_cast<unsigned>(h >> 48) % kShards;
+    ++shard[s];
+    ++chain[s * kBuckets + (h & (kBuckets - 1))];
+  }
+  for (unsigned s = 0; s < kShards; ++s) {
+    EXPECT_NEAR(shard[s], kKeys / kShards, kKeys / kShards / 20)
+        << "shard " << s;
+  }
+  EXPECT_LE(*std::max_element(chain.begin(), chain.end()), 20u);
 }
 
 // The split-order invariants the list relies on: at every bucket count n,
