@@ -107,7 +107,7 @@ class ChaseRing {
 // --- google-benchmark suite -------------------------------------------------
 
 // One slot copy: the per-node step of the traversals that still copy
-// protections (NMTree, the skip list, the simple Harris list).
+// protections (NMTree and the simple Harris list ablation).
 template <class Smr>
 void BM_Dup(benchmark::State& state) {
   SmrConfig cfg;

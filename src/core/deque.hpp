@@ -197,7 +197,7 @@ class Deque {
     for (;;) {
       Protected<Anchor> a = hp.anchor.protect(anchor_);
       if (!guard.valid()) {
-        restart(guard);
+        guard.restart();
         continue;
       }
       Anchor* A = a.get();
@@ -213,13 +213,13 @@ class Deque {
           return;
         }
         h.dealloc_unpublished(na);
-        restart(guard);
+        guard.restart();
       } else if (A->status == Status::kStable) {
         Node* end = end_of<Left>(A);
         hp.node.publish(end);
         if (anchor_.load(std::memory_order_seq_cst) != AMP(A) ||
             !guard.valid()) {
-          restart(guard);
+          guard.restart();
           continue;
         }
         // n's inward link is final before the install; the neighbor's
@@ -246,7 +246,7 @@ class Deque {
           return;
         }
         h.dealloc_unpublished(na);
-        restart(guard);
+        guard.restart();
       } else {
         help_stabilize(guard, hp, A);
       }
@@ -260,7 +260,7 @@ class Deque {
     for (;;) {
       Protected<Anchor> a = hp.anchor.protect(anchor_);
       if (!guard.valid()) {
-        restart(guard);
+        guard.restart();
         continue;
       }
       Anchor* A = a.get();
@@ -271,7 +271,7 @@ class Deque {
         hp.node.publish(end);
         if (anchor_.load(std::memory_order_seq_cst) != AMP(A) ||
             !guard.valid()) {
-          restart(guard);
+          guard.restart();
           continue;
         }
         Anchor* na =
@@ -286,13 +286,13 @@ class Deque {
           return value;
         }
         h.dealloc_unpublished(na);
-        restart(guard);
+        guard.restart();
       } else if (A->status == Status::kStable) {
         Node* end = end_of<Left>(A);
         hp.node.publish(end);
         if (anchor_.load(std::memory_order_seq_cst) != AMP(A) ||
             !guard.valid()) {
-          restart(guard);
+          guard.restart();
           continue;
         }
         Node* neighbor = inward<Left>(end).load(std::memory_order_seq_cst).ptr();
@@ -301,7 +301,7 @@ class Deque {
         // replaced).  end stays dereferenceable either way — it is
         // published — but the anchor we build from neighbor must not be.
         if (anchor_.load(std::memory_order_seq_cst) != AMP(A)) {
-          restart(guard);
+          guard.restart();
           continue;
         }
         Anchor* na =
@@ -317,7 +317,7 @@ class Deque {
           return value;
         }
         h.dealloc_unpublished(na);
-        restart(guard);
+        guard.restart();
       } else {
         help_stabilize(guard, hp, A);
       }
@@ -375,11 +375,6 @@ class Deque {
     } else {
       h.dealloc_unpublished(na);
     }
-  }
-
-  void restart(Guard& g) {
-    ++g.handle().ds_restarts;
-    g.revalidate();
   }
 
   alignas(kCacheLine) ALink anchor_{AMP{}};

@@ -170,12 +170,12 @@ class HarrisMichaelList {
     // barrier's compiler clobber; every retry re-protects each role, so any
     // slot assignment the renames left is a valid start.
     Hp hp = roles;
-    const TraversalKey<Key> key = search_key;
+    const ListOrder<Key, Compare> order{search_key, cmp_};
     for (;;) {
       Link* prev = &head_;
       MP curr_m = hp.curr.protect(head_);
       if (!g.valid()) {
-        restart(g);
+        g.restart();
         continue;
       }
       Node* curr = curr_m.ptr();
@@ -206,8 +206,8 @@ class HarrisMichaelList {
           hp.curr.swap_roles(hp.next);  // next reuses the retired node's slot
           continue;
         }
-        if (!node_less_than_key(curr, key, cmp_)) {
-          return {prev, curr, next, node_equals_key(curr, key, cmp_)};
+        if (const int c = order(curr); c <= 0) {
+          return {prev, curr, next, c == 0};
         }
         // prev takes curr's slot, curr takes next's, and next reuses the
         // old prev's.
@@ -220,13 +220,8 @@ class HarrisMichaelList {
         // but kept for structural robustness.
         return {prev, nullptr, MP{}, false};
       }
-      restart(g);
+      g.restart();
     }
-  }
-
-  void restart(Guard& g) {
-    ++g.handle().ds_restarts;
-    g.revalidate();
   }
 
   alignas(kCacheLine) Link head_{MP{}};

@@ -1,4 +1,4 @@
-// Shared pieces of the two linked-list implementations.
+// Shared pieces of the two linked lists and the skip list.
 #pragma once
 
 #include <functional>
@@ -40,17 +40,22 @@ using TraversalKey =
                            sizeof(Key) <= 2 * sizeof(void*),
                        const Key, const Key&>;
 
-// Rank-aware comparisons: the tail sentinel is greater than everything.
-template <class Node, class Key, class Compare>
-inline bool node_less_than_key(const Node* n, const Key& key,
-                               const Compare& cmp) {
-  return n->rank == 0 && cmp(n->key, key);
-}
+// The ordering predicate of the list walks (scot_find's `order`) over any
+// node with `key` and `rank`: positive while n sorts before `key`, zero on
+// the key's node, negative past it.  The tail sentinel (rank 1) is greater
+// than everything, so it settles every walk.  A node the walk passes costs
+// one comparison.
+template <class Key, class Compare>
+struct ListOrder {
+  TraversalKey<Key> key;
+  [[no_unique_address]] Compare cmp;
 
-template <class Node, class Key, class Compare>
-inline bool node_equals_key(const Node* n, const Key& key,
-                            const Compare& cmp) {
-  return n->rank == 0 && !cmp(n->key, key) && !cmp(key, n->key);
-}
+  template <class Node>
+  int operator()(const Node* n) const {
+    if (n->rank != 0) return -1;
+    if (cmp(n->key, key)) return 1;
+    return cmp(key, n->key) ? -1 : 0;
+  }
+};
 
 }  // namespace scot

@@ -93,7 +93,7 @@ class MSQueue {
     for (;;) {
       Protected<Node> t = hp.head.protect(tail_);
       if (!guard.valid()) {
-        restart(guard);
+        guard.restart();
         continue;
       }
       const MP next = t->next.load(std::memory_order_seq_cst);
@@ -108,7 +108,7 @@ class MSQueue {
                                         std::memory_order_relaxed);
           return;
         }
-        restart(guard);  // lost the link race; re-read the anchor
+        guard.restart();  // lost the link race; re-read the anchor
       } else {
         // Lagging tail: help swing it and resume from the protected
         // snapshot — the queue-shaped recovery escape (no anchor re-read
@@ -128,19 +128,19 @@ class MSQueue {
     for (;;) {
       Protected<Node> hd = hp.head.protect(head_);
       if (!guard.valid()) {
-        restart(guard);
+        guard.restart();
         continue;
       }
       Protected<Node> next = hp.next.protect(hd->next);
       if (!guard.valid()) {
-        restart(guard);
+        guard.restart();
         continue;
       }
       // Predecessor-link validation (§3.2, head_ as predecessor): both the
       // empty verdict and the value read below are only meaningful if hd
       // was still the head when its successor was protected.
       if (head_.load(std::memory_order_seq_cst) != MP(hd.get())) {
-        restart(guard);
+        guard.restart();
         continue;
       }
       if (next.get() == nullptr) return std::nullopt;  // empty
@@ -163,7 +163,7 @@ class MSQueue {
         h.retire(hd.get());  // the old dummy; unlinked by the CAS
         return value;
       }
-      restart(guard);
+      guard.restart();
     }
   }
 
@@ -180,11 +180,6 @@ class MSQueue {
   }
 
  private:
-  void restart(Guard& g) {
-    ++g.handle().ds_restarts;
-    g.revalidate();
-  }
-
   alignas(kCacheLine) Link head_{MP{}};
   alignas(kCacheLine) Link tail_{MP{}};
   Smr& smr_;

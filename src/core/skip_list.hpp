@@ -23,10 +23,13 @@
 // (absence from the adjacent chain at each level implies absence from the
 // level, because all intermediate nodes with smaller keys are marked).
 //
-// Protection roles per level (API v2 guard slots, ascending-dup
-// discipline as in the list): hp.next, hp.curr, hp.prev (last safe),
-// hp.unsafe (first unsafe), plus hp.own — held by insert() on its *own*
-// node across the upper-level linking phase.
+// Protection roles per level, as in the lists' scot_find
+// (core/scot_find.hpp): hp.next, hp.curr, hp.prev (last safe) and
+// hp.unsafe (first unsafe), renamed instead of copied at every step
+// (DESIGN.md §4), plus hp.own — held by insert() on its *own* node across
+// the upper-level linking phase, and never renamed.  The level step is
+// its own walk rather than scot_find: its prunes never retire, it tracks
+// a watched node, and a failure restarts from the top level.
 #pragma once
 
 #include <cassert>
@@ -38,6 +41,7 @@
 #include "common/asymfence.hpp"
 #include "common/stable_atomic.hpp"
 #include "common/xorshift.hpp"
+#include "core/list_common.hpp"
 #include "core/marked_ptr.hpp"
 #include "smr/handle_registry.hpp"
 #include "smr/smr.hpp"
@@ -84,7 +88,7 @@ class SkipList {
 
   static constexpr unsigned kSlotsRequired = 5;
 
-  // Slot roles in index (= ascending-dup) order.  `own` is published by
+  // Slot roles in initial index order.  `own` is published by
   // insert() on its own node across the upper-level linking phase: a racing
   // deletion may retire the node while a level splice is still in flight,
   // and the splice (or the untangling that follows it) dereferences it.
@@ -132,10 +136,7 @@ class SkipList {
     Node* node = nullptr;
     // --- link level 0 (the insertion's linearization point) ---
     for (;;) {
-      Position pos;
-      if (!find(guard, hp, key, /*update=*/true, /*stop_level=*/0, nullptr,
-                &pos))
-        continue;
+      const Position pos = find(guard, hp, key, /*update=*/true, 0);
       if (pos.found) {
         if (node != nullptr) h.dealloc_unpublished(node);
         return false;
@@ -166,8 +167,7 @@ class SkipList {
       for (;;) {
         MP cur = node->next[l].load(std::memory_order_acquire);
         if (cur.marked()) return true;  // deleted before this level was set
-        Position pos;
-        if (!find(guard, hp, key, /*update=*/true, l, nullptr, &pos)) continue;
+        const Position pos = find(guard, hp, key, /*update=*/true, l);
         if (pos.curr == node) break;  // already linked at this level
         // Point the node's level-l link at the successor, then splice.
         if (!node->next[l].compare_exchange_strong(
@@ -198,60 +198,50 @@ class SkipList {
   bool erase(Handle& h, const Key& key) {
     Guard guard(h);
     Hp hp(guard);
-    for (;;) {
-      Position pos;
-      if (!find(guard, hp, key, /*update=*/true, 0, nullptr, &pos)) continue;
-      if (!pos.found) return false;
-      Node* node = pos.curr;  // protected by hp.curr until we own or give up
-      // Mark from the top level down; level 0 decides the winner.
-      for (unsigned l = node->height; l-- > 1;) {
-        MP m = node->next[l].load(std::memory_order_acquire);
-        while (!m.marked()) {
-          if (node->next[l].compare_exchange_weak(m, m.with_mark(),
-                                                  std::memory_order_seq_cst,
-                                                  std::memory_order_acquire)) {
-            break;
-          }
-        }
-      }
-      MP m = node->next[0].load(std::memory_order_acquire);
-      for (;;) {
-        if (m.marked()) break;  // another deleter won
-        if (node->next[0].compare_exchange_weak(m, m.with_mark(),
+    const Position pos = find(guard, hp, key, /*update=*/true, 0);
+    if (!pos.found) return false;
+    Node* node = pos.curr;  // protected by the walk's curr role
+    // Mark from the top level down; level 0 decides the winner.
+    for (unsigned l = node->height; l-- > 1;) {
+      MP m = node->next[l].load(std::memory_order_acquire);
+      while (!m.marked()) {
+        if (node->next[l].compare_exchange_weak(m, m.with_mark(),
                                                 std::memory_order_seq_cst,
                                                 std::memory_order_acquire)) {
-          // We own the deletion: unlink from every level, then retire.
-          // (Only the owner ever retires a node, so cross-level pruning by
-          // other traversals cannot double-free.)
-          untangle(guard, hp, key, node);
-          h.retire(node);
-          return true;
+          break;
         }
       }
-      // Lost the level-0 race: help clean up, report absent.
-      Position unused;
-      (void)find(guard, hp, key, /*update=*/true, 0, nullptr, &unused);
-      return false;
     }
+    MP m = node->next[0].load(std::memory_order_acquire);
+    while (!m.marked()) {  // marked: another deleter won
+      if (node->next[0].compare_exchange_weak(m, m.with_mark(),
+                                              std::memory_order_seq_cst,
+                                              std::memory_order_acquire)) {
+        // We own the deletion: unlink from every level, then retire.
+        // (Only the owner ever retires a node, so cross-level pruning by
+        // other traversals cannot double-free.)
+        untangle(guard, hp, key, node);
+        h.retire(node);
+        return true;
+      }
+    }
+    // Lost the level-0 race: help clean up, report absent.
+    (void)find(guard, hp, key, /*update=*/true, 0);
+    return false;
   }
 
   bool contains(Handle& h, const Key& key) {
     Guard guard(h);
     Hp hp(guard);
-    Position pos;
-    while (!find(guard, hp, key, /*update=*/false, 0, nullptr, &pos)) {
-    }
-    return pos.found;
+    return find(guard, hp, key, /*update=*/false, 0).found;
   }
 
   std::optional<Value> get(Handle& h, const Key& key) {
     Guard guard(h);
     Hp hp(guard);
-    Position pos;
-    while (!find(guard, hp, key, /*update=*/false, 0, nullptr, &pos)) {
-    }
+    const Position pos = find(guard, hp, key, /*update=*/false, 0);
     if (!pos.found) return std::nullopt;
-    return pos.curr->value;  // protected by hp.curr
+    return pos.curr->value;  // protected by the walk's curr role
   }
 
   // Single-threaded observers for tests.
@@ -294,74 +284,94 @@ class SkipList {
     bool saw_watch;
   };
 
-  bool key_less(const Node* n, const Key& key) const {
-    return n->rank == 0 && cmp_(n->key, key);
-  }
-  bool key_equal(const Node* n, const Key& key) const {
-    return n->rank == 0 && !cmp_(n->key, key) && !cmp_(key, n->key);
-  }
+  // One traversal from the top level down to `stop_level`, restarting
+  // from the top level on any failure; returns the settle position at
+  // `stop_level`.  `watch` reports whether a specific node was still
+  // physically linked on the path.  Each step renames roles in a local
+  // copy, as scot_find does (DESIGN.md §4), so the returned prev node and
+  // curr stay protected in whichever slots their roles ended on; hp.own
+  // never renames.  The level step is not scot_find's on purpose: a prune
+  // never retires (towers span levels), the walk tracks `watch`, and a
+  // failure restarts from the top level, not from the level's start.
+  Position find(Guard& g, const Hp& roles, const Key& key, bool update,
+                unsigned stop_level, const Node* watch = nullptr) {
+    // All locals hoisted so that `goto restart` stays well-formed.
+    Hp hp = roles;
+    const ListOrder<Key, Compare> order{key, cmp_};
+    int c;
+    bool saw_watch;
+    unsigned level;
+    Node* prev_node;  // nullptr = head tower (immortal)
+    Link* prev_field;
+    MP prev_next;
+    bool in_zone;
+    MP cm;
+    MP next;
+    Node* curr;
 
-  // One traversal from the top level down to `stop_level`.  Returns false
-  // when the traversal must restart (the caller loops); on success fills
-  // `out` with the settle position at `stop_level`.  `watch` reports
-  // whether a specific node was still physically linked on the path.
-  bool find(Guard& g, Hp& hp, const Key& key, bool update,
-            unsigned stop_level, const Node* watch, Position* out) {
     g.revalidate();
-    bool saw_watch = false;
-    unsigned level = kMaxHeight - 1;
-    Node* prev_node = nullptr;  // nullptr = head tower (immortal)
-    Link* prev_field = &head_[level];
-    MP prev_next{};
-    bool in_zone = false;
+    goto top;
 
-    MP cm = hp.curr.protect(*prev_field);
-    if (!g.valid() || cm.marked()) return fail(g);
-    Node* curr = cm.ptr();
+  restart:
+    g.restart();
+  top:
+    saw_watch = false;
+    level = kMaxHeight - 1;
+    prev_node = nullptr;
+    prev_field = &head_[level];
+    prev_next = MP{};
+    in_zone = false;
+    cm = hp.curr.protect(*prev_field);
+    if (!g.valid() || cm.marked()) goto restart;
+    curr = cm.ptr();
 
     for (;;) {
-      MP next = hp.next.protect(curr->next[level]);
-      if (!g.valid()) return fail(g);
+      next = hp.next.protect(curr->next[level]);
+      if (!g.valid()) goto restart;
       if (curr == watch) saw_watch = true;
 
       if (next.marked()) {
         if constexpr (Traits::kEagerUnlink) {
           // Herlihy-Shavit: unlink immediately, restart on failure —
-          // searches included.
+          // searches included.  next reuses the unlinked node's slot.
           MP expected(curr);
           if (!prev_field->compare_exchange_strong(
                   expected, next.clean(), std::memory_order_seq_cst,
                   std::memory_order_relaxed)) {
-            return fail(g);
+            goto restart;
           }
+          hp.curr.swap_roles(hp.next);
           curr = next.ptr();
-          hp.curr.dup_from(hp.next);
-          continue;
         } else {
-          // SCOT dangerous zone for this level.
+          // SCOT dangerous zone for this level.  On entry the first unsafe
+          // node keeps curr's slot, now named unsafe; inside the chain,
+          // next reuses the slot of the chain node it leaves.
           if (!in_zone) {
             in_zone = true;
-            hp.unsafe.dup_from(hp.curr);
+            hp.unsafe.rotate_roles(hp.curr, hp.next);
             prev_next = MP(curr);
+          } else {
+            hp.curr.swap_roles(hp.next);
           }
           curr = next.ptr();
           assert(curr != nullptr);  // the tail tower is never marked
-          hp.curr.dup_from(hp.next);
           if (prev_field->load(std::memory_order_seq_cst) != prev_next)
-            return fail(g);
-          continue;
+            goto restart;
         }
+        continue;
       }
 
-      if (key_less(curr, key)) {
+      c = order(curr);
+      if (c > 0) {
+        // prev takes curr's slot, curr takes next's, and next reuses the
+        // slot the old last safe node held.
         prev_field = &curr->next[level];
         prev_node = curr;
-        hp.prev.dup_from(hp.curr);
+        hp.prev.rotate_roles(hp.curr, hp.next);
         in_zone = false;
         prev_next = MP{};
         curr = next.ptr();
         assert(curr != nullptr);
-        hp.curr.dup_from(hp.next);
         continue;
       }
 
@@ -372,34 +382,23 @@ class SkipList {
           if (!prev_field->compare_exchange_strong(
                   expected, MP(curr), std::memory_order_seq_cst,
                   std::memory_order_relaxed)) {
-            return fail(g);
+            goto restart;
           }
           // Deliberately no retire: nodes span levels; owners retire.
         }
       }
-      if (level == stop_level) {
-        out->prev_field = prev_field;
-        out->curr = curr;
-        out->next = next;
-        out->found = key_equal(curr, key);
-        out->saw_watch = saw_watch;
-        return true;
-      }
+      if (level == stop_level)
+        return {prev_field, curr, next, c == 0, saw_watch};
       // Descend along the last safe node (or the head tower).
       --level;
       prev_field = prev_node ? &prev_node->next[level] : &head_[level];
       in_zone = false;
       prev_next = MP{};
       cm = hp.curr.protect(*prev_field);
-      if (!g.valid()) return fail(g);
-      if (cm.marked()) return fail(g);  // prev got deleted mid-descent
+      // A marked link: prev got deleted mid-descent.
+      if (!g.valid() || cm.marked()) goto restart;
       curr = cm.ptr();
     }
-  }
-
-  bool fail(Guard& g) {
-    ++g.handle().ds_restarts;
-    return false;
   }
 
   // Publishes protection for a node this thread just allocated.  The local
@@ -414,11 +413,8 @@ class SkipList {
 
   // Traverses (pruning) until `node` is no longer physically linked at any
   // level.  Callers must hold a protection on `node` or own its retirement.
-  void untangle(Guard& g, Hp& hp, const Key& key, const Node* node) {
-    for (;;) {
-      Position pos;
-      if (!find(g, hp, key, /*update=*/true, 0, node, &pos)) continue;
-      if (!pos.saw_watch) return;
+  void untangle(Guard& g, const Hp& hp, const Key& key, const Node* node) {
+    while (find(g, hp, key, /*update=*/true, 0, node).saw_watch) {
     }
   }
 

@@ -84,7 +84,7 @@ class TreiberStack {
     for (;;) {
       Protected<Node> t = slot.protect(top_);
       if (!guard.valid()) {
-        restart(guard);
+        guard.restart();
         continue;
       }
       if (t.get() == nullptr) return std::nullopt;  // empty
@@ -99,7 +99,7 @@ class TreiberStack {
         h.retire(t.get());
         return value;
       }
-      restart(guard);  // anchor moved; the re-read is the whole traversal
+      guard.restart();  // anchor moved; the re-read is the whole traversal
     }
   }
 
@@ -115,11 +115,6 @@ class TreiberStack {
   }
 
  private:
-  void restart(Guard& g) {
-    ++g.handle().ds_restarts;
-    g.revalidate();
-  }
-
   alignas(kCacheLine) Link top_{MP{}};
   Smr& smr_;
 };

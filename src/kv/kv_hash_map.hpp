@@ -2,12 +2,14 @@
 // behind scot::KvStore (DESIGN.md §10).
 //
 // Split-ordered buckets (Shalev & Shavit, JACM 2006).  Every pair lives
-// once, in one SCOT Harris list (core/harris_list.hpp, paper Figure 5)
-// sorted by split-order key: the bit-reversed hash, made odd for pairs,
-// with ties broken by key bytes.  Bucket b is an immortal sentinel whose
-// key is reverse(b) (even), so it sorts just in front of every pair whose
-// low hash bits are b, at every bucket count.  Growing the table is one
-// CAS on the bucket count; no node ever moves.
+// once, in one SCOT Harris list sorted by split-order key: the bit-reversed
+// hash, made odd for pairs, with ties broken by key bytes.  Every operation
+// walks it with scot_find (core/scot_find.hpp, paper Figure 5), the same
+// walk as the Harris list's, §3.2.1 recovery included, from its bucket
+// sentinel's link and ordered by KvOrder; the list ends at null.  Bucket b
+// is an immortal sentinel whose key is reverse(b) (even), so it sorts just
+// in front of every pair whose low hash bits are b, at every bucket count.
+// Growing the table is one CAS on the bucket count; no node ever moves.
 //
 // Sentinels live inside the bucket directory (AtomicChunkedArray of
 // BucketSlot, chunks CAS-installed and never freed), each behind a zeroed
@@ -38,6 +40,7 @@
 #include "common/chunked_list.hpp"
 #include "common/stable_atomic.hpp"
 #include "core/marked_ptr.hpp"
+#include "core/scot_find.hpp"
 #include "smr/handle_registry.hpp"
 #include "smr/smr.hpp"
 
@@ -128,13 +131,21 @@ struct KvNode : ReclaimNode {
   }
 };
 
-// Total order of list positions: by split-order key, then key bytes.
-inline int kv_compare(std::uint64_t so_key, std::string_view key,
-                      const KvNode* n) noexcept {
-  if (so_key != n->so_key) return so_key < n->so_key ? -1 : 1;
-  const int c = key.compare(n->key());
-  return c < 0 ? -1 : (c > 0 ? 1 : 0);
-}
+// scot_find's ordering predicate: list positions are ordered by
+// split-order key, then key bytes.  Positive while n sorts before
+// (so_key, key), zero on its node, negative past it and at the end of the
+// list (null).
+struct KvOrder {
+  std::uint64_t so_key;
+  std::string_view key;
+
+  int operator()(const KvNode* n) const noexcept {
+    if (n == nullptr) return -1;
+    if (so_key != n->so_key) return so_key < n->so_key ? -1 : 1;
+    const int c = key.compare(n->key());
+    return c < 0 ? -1 : (c > 0 ? 1 : 0);
+  }
+};
 
 enum class KvPut {
   kInserted,   // key was absent; a fresh node was linked
@@ -149,11 +160,9 @@ class KvHashMap {
   using Guard = TraversalGuard<Handle>;
   using MP = marked_ptr<KvNode>;
   using BlobMP = marked_ptr<KvBlob>;
-  using Link = StableAtomic<MP>;
-  using NodeSlot = ProtectionSlot<Handle, KvNode>;
   using BlobSlot = ProtectionSlot<Handle, KvBlob>;
 
-  // The SCOT find's next/curr/prev/first-unsafe roles, plus the value blob.
+  // The SCOT walk's next/curr/prev/first-unsafe roles, plus the value blob.
   static constexpr unsigned kSlotsRequired = 5;
 
   struct Options {
@@ -217,7 +226,7 @@ class KvHashMap {
     KvBlob* const nb = make_blob(h, value);
     KvNode* n = nullptr;
     for (;;) {
-      const Position pos = find(g, hp, start, so, key, /*unlink=*/true);
+      const Position pos = walk(g, hp, start, {so, key}, /*unlink=*/true);
       if (!pos.found) {
         if (n == nullptr) n = make_node(h, so, key, nb);
         if (link(pos, n)) break;
@@ -226,7 +235,7 @@ class KvHashMap {
       BlobMP bv = pos.curr->val.load(std::memory_order_seq_cst);
       if (bv.ptr() == nullptr) {
         // An erase has taken the blob: help it mark the node so the next
-        // find unlinks it, then race to reinsert.
+        // walk unlinks it, then race to reinsert.
         mark(pos.curr);
         continue;
       }
@@ -249,7 +258,7 @@ class KvHashMap {
     Hp hp(g);
     KvNode* const start = bucket(g, hp, hash);
     for (;;) {
-      const Position pos = find(g, hp, start, so, key, /*unlink=*/true);
+      const Position pos = walk(g, hp, start, {so, key}, /*unlink=*/true);
       if (!pos.found) return false;
       BlobMP bv = pos.curr->val.load(std::memory_order_seq_cst);
       if (bv.ptr() == nullptr) return false;  // lost to a concurrent erase
@@ -258,9 +267,9 @@ class KvHashMap {
       if (!pos.curr->val.compare_exchange_strong(bv, BlobMP{},
                                                  std::memory_order_seq_cst,
                                                  std::memory_order_relaxed)) {
-        continue;  // updated under us; re-find
+        continue;  // updated under us; re-walk
       }
-      // One unlink attempt; on failure a later writer's find removes the
+      // One unlink attempt; on failure a later writer's walk removes the
       // marked node with its chain, and that writer retires it.
       MP expected(pos.curr);
       if (pos.prev->compare_exchange_strong(expected, mark(pos.curr),
@@ -281,13 +290,13 @@ class KvHashMap {
     Hp hp(g);
     KvNode* const start = bucket(g, hp, hash);
     for (;;) {
-      const Position pos = find(g, hp, start, so, key, /*unlink=*/false);
+      const Position pos = walk(g, hp, start, {so, key}, /*unlink=*/false);
       if (!pos.found) return false;
       // protect() republishes until the val word is stable, and every blob
       // retirement is preceded by the CAS that moves val off the blob.
       const Protected<KvBlob> pb = hp.blob.protect(pos.curr->val);
       if (!g.valid()) {
-        restart(g);
+        g.restart();
         continue;
       }
       if (pb.get() == nullptr) return false;  // erased
@@ -301,7 +310,7 @@ class KvHashMap {
     Guard g(h);
     Hp hp(g);
     const Position pos =
-        find(g, hp, bucket(g, hp, hash), so, key, /*unlink=*/false);
+        walk(g, hp, bucket(g, hp, hash), {so, key}, /*unlink=*/false);
     return pos.found &&
            pos.curr->val.load(std::memory_order_seq_cst).ptr() != nullptr;
   }
@@ -344,30 +353,15 @@ class KvHashMap {
     std::atomic<std::uint32_t> state{kUnlinked};
   };
 
-  struct Position {
-    Link* prev;
-    KvNode* curr;
-    bool found;
-  };
+  using Position = ScotPosition<KvNode>;
 
-  // Slot roles in initial index order; find() renames the four list roles
-  // in a local copy and copies no protection.  blob keeps its own slot
-  // above them, so get() can protect the value last.
-  struct Hp {
-    NodeSlot next, curr, prev, unsafe;
+  // The walk's four list roles, which it renames in a local copy, then
+  // blob in its own slot above them, so get() can protect the value last.
+  struct Hp : ScotRoles<Handle, KvNode> {
     BlobSlot blob;
     explicit Hp(Guard& g)
-        : next(g.template slot<KvNode>()),
-          curr(g.template slot<KvNode>()),
-          prev(g.template slot<KvNode>()),
-          unsafe(g.template slot<KvNode>()),
-          blob(g.template slot<KvBlob>()) {}
+        : ScotRoles<Handle, KvNode>(g), blob(g.template slot<KvBlob>()) {}
   };
-
-  void restart(Guard& g) {
-    ++g.handle().ds_restarts;
-    g.revalidate();
-  }
 
   // --- allocation helpers -------------------------------------------------
   KvBlob* make_blob(Handle& h, std::string_view value) {
@@ -406,7 +400,7 @@ class KvHashMap {
     }
     // Only the claimer links, so a bucket never gets two sentinels.
     s.sentinel.so_key = kv_sentinel_key(b);
-    while (!link(find(g, hp, parent, s.sentinel.so_key, {}, /*unlink=*/true),
+    while (!link(walk(g, hp, parent, {s.sentinel.so_key, {}}, /*unlink=*/true),
                  &s.sentinel)) {
     }
     if (b >= initial_) linked_.fetch_add(1, std::memory_order_relaxed);
@@ -425,74 +419,13 @@ class KvHashMap {
   }
 
   // --- the list -----------------------------------------------------------
-  // SCOT Harris find (paper Figure 5, right) from an immortal sentinel.
-  // Settles on the first unmarked node ordered at or after (so, key), or on
-  // null at the end of the list.  Inside a marked chain every protect is
-  // validated against the last safe link (`*prev == first unsafe`), so a
-  // traverser never trusts a node a concurrent unlink may have retired.
-  // With `unlink`, the chain in front of the settled node is removed with
-  // one CAS and retired; any failure re-walks from `start`.  Each step
-  // renames roles instead of copying protections (DESIGN.md §4): the
-  // returned prev node and curr stay protected in whichever slots their
-  // roles ended on.  The roles are a local copy, so they stay in registers
-  // across the light barrier's compiler clobber, and a re-walk re-protects
-  // them from any slot assignment.
-  Position find(Guard& g, const Hp& roles, KvNode* start, std::uint64_t so,
-                std::string_view key, bool unlink) {
-    Hp hp = roles;
-    for (;; restart(g)) {
-      Link* prev = &start->next;
-      MP first_unsafe{};  // null while the walk is in the safe zone
-      KvNode* curr = hp.curr.protect(*prev).get();
-      if (!g.valid()) continue;
-      int c = 1;
-      bool valid = true;
-      while (curr != nullptr) {
-        const MP next = hp.next.protect(curr->next);
-        if (!g.valid() ||
-            (first_unsafe && prev->load(std::memory_order_seq_cst) !=
-                                 first_unsafe)) {
-          valid = false;
-          break;
-        }
-        // Each branch moves curr's role to next's slot and gives next a
-        // slot whose node is no longer needed.
-        if (next.marked()) {  // curr is logically deleted
-          if (!first_unsafe) {
-            hp.unsafe.rotate_roles(hp.curr, hp.next);  // keeps curr's slot
-            first_unsafe = MP(curr);
-          } else {
-            hp.curr.swap_roles(hp.next);
-          }
-        } else {
-          c = kv_compare(so, key, curr);
-          if (c <= 0) break;
-          prev = &curr->next;
-          hp.prev.rotate_roles(hp.curr, hp.next);
-          first_unsafe = MP{};
-        }
-        curr = next.ptr();
-      }
-      if (!valid) continue;
-      if (unlink && first_unsafe) {
-        MP expected = first_unsafe;
-        if (!prev->compare_exchange_strong(expected, MP(curr),
-                                           std::memory_order_seq_cst,
-                                           std::memory_order_relaxed)) {
-          continue;
-        }
-        Handle& h = g.handle();
-        for (KvNode* n = first_unsafe.ptr(); n != curr;) {
-          KvNode* const nx = n->next.load(std::memory_order_relaxed).ptr();
-          h.retire(n);
-          n = nx;
-        }
-      }
-      return {prev, curr, c == 0};
-    }
+  // The SCOT walk from an immortal sentinel; a failure re-walks from it.
+  Position walk(Guard& g, const Hp& hp, KvNode* start, KvOrder order,
+                bool unlink) {
+    return scot_find<HarrisListTraits>(g, hp, start->next, order, unlink);
   }
 
-  // Links n in front of pos.curr; false when *pos.prev moved (re-find).
+  // Links n in front of pos.curr; false when *pos.prev moved (re-walk).
   static bool link(const Position& pos, KvNode* n) {
     n->next.store(MP(pos.curr), std::memory_order_relaxed);
     MP expected(pos.curr);

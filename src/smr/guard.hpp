@@ -180,6 +180,13 @@ class TraversalGuard {
   bool valid() const noexcept { return h_->op_valid(); }
   void revalidate() noexcept { h_->revalidate_op(); }
 
+  // A traversal giving up its position to re-walk from its anchor: counts
+  // the restart in the handle's ds_restarts and revalidates.
+  void restart() noexcept {
+    ++h_->ds_restarts;
+    h_->revalidate_op();
+  }
+
   // Typed allocation/retirement passthroughs, so simple users never touch
   // the handle directly.  alloc() hides the birth-era stamp and the
   // StableAtomic link re-initialisation (DESIGN.md §4); retire() accepts

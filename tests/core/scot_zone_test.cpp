@@ -3,8 +3,8 @@
 // chains (optimistic traversal), updates must prune whole chains with one
 // CAS, and the recovery optimization must engage instead of full restarts
 // when the last safe node stays live.  RoleRotationStress runs the
-// role-renaming traversals (both lists and the kv map) against a scan on
-// every retire.
+// role-renaming traversals (both lists, the skip list and the kv map)
+// against a scan on every retire.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -75,7 +75,7 @@ TYPED_TEST(ScotZoneTest, UpdateTraversalPrunesWholeChainWithOneCas) {
 
 TYPED_TEST(ScotZoneTest, ChainAtHeadIsTraversedAndPruned) {
   // The zone can start at the very first node (prev == &head anchor); this
-  // exercises the simple-traversal fix-up documented in do_find.
+  // exercises the simple-traversal fix-up documented in scot_find.
   TypeParam smr(test::small_config());
   HarrisList<Key, Val, TypeParam, HarrisListSimpleTraits> list(smr);
   auto sh = scoped_handle(smr);
@@ -174,10 +174,10 @@ TYPED_TEST(ScotZoneTest, ConcurrentZoneTraversalVsPruning) {
 }
 
 // Every retire scans (scan_threshold = 1), so under HP and HE a node is
-// freed as soon as no slot covers it.  The lists and the kv map advance by
-// renaming protection roles instead of copying protections; if a rename
-// ever left a node the traversal still relies on without a slot naming it,
-// readers here would walk freed, recycled nodes.
+// freed as soon as no slot covers it.  The lists, the skip list and the kv
+// map advance by renaming protection roles instead of copying protections;
+// if a rename ever left a node the traversal still relies on without a slot
+// naming it, readers here would walk freed, recycled nodes.
 template <class Smr>
 class RoleRotationStress : public ::testing::Test {
  protected:
@@ -316,6 +316,15 @@ TYPED_TEST(RoleRotationStress, HListWaitFree) {
 TYPED_TEST(RoleRotationStress, HMList) {
   TypeParam smr(this->every_retire_scans());
   HarrisMichaelList<Key, Val, TypeParam, StallingLess> list(smr);
+  rotation_stress(smr, list);
+}
+
+// The skip list has no mark-only hook, so the writer erases: each erase
+// marks the tower at every level before unlinking it, and readers cross
+// those chains level by level.
+TYPED_TEST(RoleRotationStress, SkipList) {
+  TypeParam smr(this->every_retire_scans());
+  SkipList<Key, Val, TypeParam, SkipListTraits, StallingLess> list(smr);
   rotation_stress(smr, list);
 }
 
