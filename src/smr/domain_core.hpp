@@ -2,21 +2,22 @@
 // scheme (DESIGN.md §7, "Adding a scheme").
 //
 // A scheme is two classes: a domain deriving from DomainCore<Domain,
-// Handle>, and its per-thread Handle deriving from HandleCore (or from
-// LimboHandle for the limbo-list schemes; smr/handle_core.hpp).  The core
-// owns membership (the handle registry, join/leave), the node pool, the
-// era clock, the fence discipline, the sums of the per-handle counts and
-// telemetry, and the background reclaimer's lifecycle.  The scheme keeps its
-// reservation state and protocol — begin_op/end_op/protect/publish/dup,
-// retire, scan or seal_batch — plus two handle hooks the core calls
-// statically:
+// Handle>, and its per-thread Handle deriving from LimboHandle (every
+// reclaiming scheme: the one retire path; smr/handle_core.hpp) or from
+// HandleCore (NR).  The core owns membership (the handle registry,
+// join/leave), the node pool, the era clock, the fence discipline, the sums
+// of the per-handle counts and telemetry, and the background reclaimer's
+// lifecycle.  The scheme keeps its reservation state and protocol —
+// begin_op/end_op/protect/publish/dup and the body of its reclaim round —
+// plus two handle hooks the core calls statically:
 //
 //   h.on_leave()      hand the private retire chain off before the record
 //                     is released (leave(); no operation in flight);
 //   h.take_retired()  detach the private retire chain at teardown so the
 //                     core can free it.
 //
-// HandleCore defaults both to no-ops.  A domain may also hide the static
+// HandleCore defaults both to no-ops and LimboHandle implements both for
+// every reclaiming scheme.  A domain may also hide the static
 // reclaim_threshold(cfg): the initial reclaim cadence the adaptive
 // controller tunes (Hyaline's is its batch size).
 //

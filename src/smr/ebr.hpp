@@ -22,8 +22,6 @@
 #include <cstdint>
 
 #include "common/asymfence.hpp"
-#include "obs/stats.hpp"
-#include "obs/trace.hpp"
 #include "smr/domain_core.hpp"
 
 namespace scot {
@@ -52,7 +50,6 @@ class EbrDomain : public DomainCore<EbrDomain, EbrHandle> {
 
 class EbrHandle : public LimboHandle<EbrDomain, EbrHandle> {
  public:
-  static constexpr bool kRetireEras = true;
   static constexpr std::uint64_t kIdle = EbrDomain::kIdle;
 
   using LimboHandle::LimboHandle;
@@ -83,21 +80,6 @@ class EbrHandle : public LimboHandle<EbrDomain, EbrHandle> {
   static constexpr bool op_valid() noexcept { return true; }
   void revalidate_op() noexcept {}
 
-  // Frees every retired node no active reservation can still reference.
-  void scan() {
-    obs::TraceSpan span(obs::TraceKind::kScan);
-    const std::uint64_t stats_t0 = obs::scan_begin(stats_);
-    // Surface in-flight activation stores before snapshotting the
-    // reservations; a reservation the barrier does not surface belongs
-    // to a thread whose first shared load is ordered after every unlink
-    // in this batch (DESIGN.md §5, activation case).
-    scan_barrier();
-    const std::uint64_t min_res = dom_->min_reservation();
-    free_unreserved(
-        [&](const ReclaimNode* n) { return n->retire_era >= min_res; });
-    obs::scan_end(stats_, stats_t0);
-  }
-
   // DomainCore hook: the reservation must be idle.
   void on_leave() {
     assert(reservation_.load(std::memory_order_relaxed) == kIdle &&
@@ -107,6 +89,15 @@ class EbrHandle : public LimboHandle<EbrDomain, EbrHandle> {
 
  private:
   friend class EbrDomain;
+  friend LimboHandle;
+
+  // scan()'s body: frees every retired node no active reservation can
+  // still reference.
+  void reclaim_limbo() {
+    const std::uint64_t min_res = dom_->min_reservation();
+    free_unreserved(
+        [&](const ReclaimNode* n) { return n->retire_era >= min_res; });
+  }
 
   // Published epoch reservation, read by every scan.  Lives inside the
   // handle, so the reservation array grows with the registry.  Aligned to

@@ -32,7 +32,6 @@
 #include <cassert>
 #include <cstdint>
 #include <stdexcept>
-#include <type_traits>
 #include <utility>
 
 #include "core/marked_ptr.hpp"
@@ -166,14 +165,6 @@ class TraversalGuard {
     return ProtectionSlot<Handle, T>(*h_, next_index_++);
   }
 
-  // One-shot convenience for code outside the traversal discipline (e.g.
-  // protecting a single node): allocates a fresh slot and protects through
-  // it.  Each call consumes a new index, so do not use it in loops.
-  template <class T, class Link>
-  Protected<T> protect(const Link& src) noexcept {
-    return slot<T>().protect(src);
-  }
-
   // False when the scheme invalidated the running operation (Hyaline's
   // reservation refresh); the traversal must revalidate() and restart from
   // an anchor before trusting any previously protected value.
@@ -187,20 +178,13 @@ class TraversalGuard {
     h_->revalidate_op();
   }
 
-  // Typed allocation/retirement passthroughs, so simple users never touch
-  // the handle directly.  alloc() hides the birth-era stamp and the
-  // StableAtomic link re-initialisation (DESIGN.md §4); retire() accepts
-  // the typed protected view.
+  // Typed allocation passthrough, so simple users never touch the handle
+  // directly: hides the birth-era stamp and the StableAtomic link
+  // re-initialisation (DESIGN.md §4).
   template <class T, class... Args>
   T* alloc(Args&&... args) {
     return h_->template alloc<T>(std::forward<Args>(args)...);
   }
-  template <class T>
-  void retire(Protected<T> p) {
-    h_->retire(p);
-  }
-
-  unsigned slots_used() const noexcept { return next_index_; }
 
  private:
   Handle* h_;

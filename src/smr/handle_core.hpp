@@ -4,14 +4,15 @@
 // protection and retirement flows through it.  Handles are *not* thread-safe;
 // a joined handle must only ever be used by one thread at a time.
 //
-//  * `HandleCore` — what every handle has: allocation, typed retirement,
-//    the Table 2 counters, the retire/free counts behind the pending gauge,
-//    the obs cell, the era tick, the scan barrier, and no-op defaults for
-//    the DomainCore hooks (smr/domain_core.hpp).
-//  * `LimboHandle` — the shared half of the four limbo-list schemes (EBR,
-//    HP/HPopt, HE, IBR): the private limbo list, the whole retire path up to
-//    the threshold "donate or scan" decision, adoption from the domain's
-//    retire mailbox, and the background-reclaimer and leave()/teardown
+//  * `HandleCore` — what every handle has: allocation, the Table 2
+//    counters, the retire/free counts behind the pending gauge, the obs
+//    cell, the era tick, the scan barrier, and no-op defaults for the
+//    DomainCore hooks (smr/domain_core.hpp).
+//  * `LimboHandle` — the shared half of every reclaiming scheme (EBR,
+//    HP/HPopt, HE, IBR, Hyaline): the private limbo list (Hyaline's open
+//    batch), the whole retire path up to the threshold "donate or scan"
+//    decision, adoption from the domain's retire mailbox, the bracket of
+//    one reclaim round, and the background-reclaimer and leave()/teardown
 //    hooks.
 //  * `SlotBlock` — the inline, line-isolated indexed slots of HP/HPopt and
 //    HE, with the publish/dup/clear steps both schemes share.
@@ -27,7 +28,6 @@
 #include "common/asymfence.hpp"
 #include "obs/stats.hpp"
 #include "obs/trace.hpp"
-#include "smr/guard.hpp"
 #include "smr/handle_registry.hpp"
 #include "smr/node_pool.hpp"
 #include "smr/reclaim_node.hpp"
@@ -163,17 +163,6 @@ class HandleCore {
     dom_->pool().free(tid_, n, header_of(n)->alloc_size);
   }
 
-  // API v2 typed retirement: accepts the protected view a traversal already
-  // holds.  The derived scheme's retire(ReclaimNode*) stays the
-  // implementation; derived classes re-expose this overload with
-  // `using Base::retire;`.
-  template <class T>
-  void retire(Protected<T> p) {
-    static_assert(std::is_base_of_v<ReclaimNode, T>);
-    assert(p.get() != nullptr && "cannot retire an empty Protected");
-    derived()->retire(static_cast<ReclaimNode*>(p.get()));
-  }
-
   std::uint64_t on_alloc_era() noexcept { return 0; }
 
   // --- DomainCore hooks (defaults: nothing private to hand off) ------------
@@ -248,22 +237,25 @@ class HandleCore {
   std::atomic<std::uint64_t> reclaimed{0};
 };
 
-// Derived provides scan() (free every limbo node no reservation covers) and
-// `static constexpr bool kRetireEras`: true when retire() stamps the node's
-// retire_era from the domain clock and ticks the clock (EBR, HE, IBR).
+// Derived provides reclaim_limbo(), the body of one reclaim round: read the
+// reservations, then free every limbo node they do not cover
+// (free_unreserved), or, for Hyaline, seal the limbo into one batch and
+// hand it to the slots that could reach it.  Derived may hide on_retire(),
+// the retire-time era step.
 template <class Domain, class Derived>
 class LimboHandle : public HandleCore<Domain, Derived> {
   using Base = HandleCore<Domain, Derived>;
 
  public:
   using Base::Base;
-  using Base::retire;  // typed retire(Protected<T>) — API v2
   using Base::stats_;
+
+  // The trace span of one reclaim round (Hyaline's is a batch seal).
+  static constexpr obs::TraceKind kRoundTrace = obs::TraceKind::kScan;
 
   void retire(ReclaimNode* n) {
     header_of(n)->debug_state = kNodeRetired;
-    if constexpr (Derived::kRetireEras)
-      n->retire_era = dom_->clock_.load(std::memory_order_acquire);
+    this->derived()->on_retire(n);
     limbo_.push(n);
     // With the background reclaimer active, mailbox adoption is its job;
     // when inactive, retirers self-heal the mailbox (leave() orphans and
@@ -274,7 +266,6 @@ class LimboHandle : public HandleCore<Domain, Derived> {
     }
     this->bump(this->retired, 1);
     obs::peak(stats_, limbo_.count);
-    if constexpr (Derived::kRetireEras) this->era_tick();
     if (limbo_.count >= dom_->bg_.effective_scan_threshold()) {
       if (dom_->bg_.is_active()) {
         // Donate the whole chain (one CAS) and ring the doorbell: no scan,
@@ -285,9 +276,31 @@ class LimboHandle : public HandleCore<Domain, Derived> {
         dom_->bg_.thread.ring();
         obs::count(stats_, obs::Counter::kBgBatchesDonated);
       } else {
-        this->derived()->scan();
+        scan();
       }
     }
+  }
+
+  // The retire-time era step of EBR, HE and IBR: stamp the node's retire
+  // era from the domain clock, then tick the clock.
+  void on_retire(ReclaimNode* n) noexcept {
+    n->retire_era = dom_->clock_.load(std::memory_order_acquire);
+    this->era_tick();
+  }
+
+  // One reclaim round over the whole limbo list.  The heavy barrier comes
+  // before the reservations are read: every limbo node was unlinked before
+  // it was retired, so a reservation the barrier does not surface belongs
+  // to a thread whose validating re-read or first shared load is ordered
+  // after those unlinks, and it cannot reach any of them (DESIGN.md §5).
+  // reclaim_limbo() reads the registry head after the barrier, so the same
+  // argument covers records of late-joining threads (DESIGN.md §7).
+  void scan() {
+    obs::TraceSpan span(Derived::kRoundTrace);
+    const std::uint64_t stats_t0 = obs::scan_begin(stats_);
+    this->scan_barrier();
+    this->derived()->reclaim_limbo();
+    obs::scan_end(stats_, stats_t0);
   }
 
   // --- background-reclaimer hooks (service thread only; DESIGN.md §9) ---
@@ -296,7 +309,7 @@ class LimboHandle : public HandleCore<Domain, Derived> {
   // Run the shared scan (one heavy barrier) if there is a backlog.
   bool bg_reclaim() {
     if (limbo_.count == 0) return false;
-    this->derived()->scan();
+    scan();
     return true;
   }
 
@@ -306,15 +319,8 @@ class LimboHandle : public HandleCore<Domain, Derived> {
   // the whole backlog goes to it instead, with no exit scan.
   void on_leave() {
     if (limbo_.count == 0) return;
-    if (dom_->bg_.is_active()) {
-      donate_limbo();
-      dom_->bg_.thread.ring();
-      obs::count(stats_, obs::Counter::kOrphanDonations);
-    } else {
-      this->derived()->scan();
-      if (donate_limbo() > 0)
-        obs::count(stats_, obs::Counter::kOrphanDonations);
-    }
+    if (!dom_->bg_.is_active()) scan();
+    donate_orphans();
   }
   ReclaimNode* take_retired() noexcept { return limbo_.take(); }
 
@@ -333,10 +339,17 @@ class LimboHandle : public HandleCore<Domain, Derived> {
     return donated;
   }
 
-  // Drains the domain's retire mailbox into the private limbo list (the
-  // limbo-list schemes' side of the handoff; Hyaline splices into its
-  // batch instead).  Returns the number of nodes adopted (0 = the mailbox
-  // was empty or raced empty).
+  // leave()'s handoff: donates the limbo and wakes the service thread if
+  // it runs, else the next retirer adopts it.
+  void donate_orphans() noexcept {
+    if (donate_limbo() == 0) return;
+    if (dom_->bg_.is_active()) dom_->bg_.thread.ring();
+    obs::count(stats_, obs::Counter::kOrphanDonations);
+  }
+
+  // Drains the domain's retire mailbox into the private limbo list.
+  // Returns the number of nodes adopted (0 = the mailbox was empty or
+  // raced empty).
   unsigned adopt_mailbox() noexcept {
     if (dom_->orphans_.empty()) return 0;
     ReclaimNode* n = dom_->orphans_.take_all();

@@ -21,8 +21,6 @@
 
 #include "common/asymfence.hpp"
 #include "common/chunked_list.hpp"
-#include "obs/stats.hpp"
-#include "obs/trace.hpp"
 #include "smr/domain_core.hpp"
 
 namespace scot {
@@ -52,7 +50,6 @@ class HeDomain : public DomainCore<HeDomain, HeHandle> {
 
 class HeHandle : public LimboHandle<HeDomain, HeHandle> {
  public:
-  static constexpr bool kRetireEras = true;
   static constexpr std::uint64_t kIdleEra = HeDomain::kIdleEra;
 
   using LimboHandle::LimboHandle;
@@ -117,26 +114,6 @@ class HeHandle : public LimboHandle<HeDomain, HeHandle> {
     return dom_->clock_.load(std::memory_order_acquire);
   }
 
-  void scan() {
-    obs::TraceSpan span(obs::TraceKind::kScan);
-    const std::uint64_t stats_t0 = obs::scan_begin(stats_);
-    // Surface in-flight era publications before reading the slots; a
-    // publication the barrier does not surface belongs to a reader whose
-    // validating re-read is ordered after every unlink in this batch.
-    // The registry head is read after the barrier, so the same argument
-    // covers records of late-joining threads (DESIGN.md §7).
-    scan_barrier();
-    // Reservation snapshot (sorted) — one pass over the live registry
-    // per scan instead of one per retired node.
-    snapshot_.clear();
-    dom_->collect_eras(snapshot_);
-    std::sort(snapshot_.begin(), snapshot_.end());
-    free_unreserved([&](ReclaimNode* n) {
-      return lifetime_reserved(birth_era_of(n), n->retire_era);
-    });
-    obs::scan_end(stats_, stats_t0);
-  }
-
   // DomainCore hook: clears the era slots before the final scan.
   void on_leave() {
     end_op();
@@ -145,6 +122,18 @@ class HeHandle : public LimboHandle<HeDomain, HeHandle> {
 
  private:
   friend class HeDomain;
+  friend LimboHandle;
+
+  // scan()'s body.  Reservation snapshot (sorted) — one pass over the live
+  // registry per scan instead of one per retired node.
+  void reclaim_limbo() {
+    snapshot_.clear();
+    dom_->collect_eras(snapshot_);
+    std::sort(snapshot_.begin(), snapshot_.end());
+    free_unreserved([&](ReclaimNode* n) {
+      return lifetime_reserved(birth_era_of(n), n->retire_era);
+    });
+  }
 
   // True if some published era lies within [birth, retire].
   bool lifetime_reserved(std::uint64_t birth,

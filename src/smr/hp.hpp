@@ -29,8 +29,6 @@
 
 #include "common/asymfence.hpp"
 #include "common/chunked_list.hpp"
-#include "obs/stats.hpp"
-#include "obs/trace.hpp"
 #include "smr/domain_core.hpp"
 
 namespace scot {
@@ -87,20 +85,14 @@ class HpHandle
   using Base = LimboHandle<Domain, HpHandle>;
 
  public:
-  static constexpr bool kRetireEras = false;
-
   using Base::Base;
 
  protected:
   // The base is dependent, so its members need explicit re-introduction.
   using Base::dom_;
   using Base::fences_;
-  using Base::limbo_;
-  using Base::tid_;
 
  public:
-  using Base::stats_;
-
   void begin_op() noexcept {}
 
   // Clears the whole scanned range: a superset of the slots this operation
@@ -144,16 +136,21 @@ class HpHandle
   static constexpr bool op_valid() noexcept { return true; }
   void revalidate_op() noexcept {}
 
-  void scan() {
-    obs::TraceSpan span(obs::TraceKind::kScan);
-    const std::uint64_t stats_t0 = obs::scan_begin(stats_);
-    // One heavy barrier covers the whole scan batch: every node in the
-    // limbo list was unlinked (and retired) before this point, so a
-    // reader publication the barrier does not surface belongs to a
-    // validating re-read that is ordered after the unlink and retries.
-    // The registry head is read after the barrier, so the same argument
-    // covers records of late-joining threads (DESIGN.md §7).
-    this->scan_barrier();
+  // Hazard pointers compare addresses, not eras: retire stamps nothing.
+  void on_retire(ReclaimNode*) noexcept {}
+
+  // DomainCore hook: clears the hazard slots before the final scan.
+  void on_leave() {
+    end_op();
+    Base::on_leave();
+  }
+
+ private:
+  friend Domain;
+  friend Base;
+
+  // scan()'s body: frees every limbo node no hazard slot holds.
+  void reclaim_limbo() {
     if constexpr (kSnapshotScan) {
       snapshot_.clear();
       dom_->collect_hazards(snapshot_);
@@ -165,17 +162,7 @@ class HpHandle
       this->free_unreserved(
           [&](const ReclaimNode* n) { return dom_->is_hazard(n); });
     }
-    obs::scan_end(stats_, stats_t0);
   }
-
-  // DomainCore hook: clears the hazard slots before the final scan.
-  void on_leave() {
-    end_op();
-    Base::on_leave();
-  }
-
- private:
-  friend Domain;
 
   // Per-thread hazard slots, inline and line-isolated (SlotBlock); scans
   // read, and end_op() clears, the first cfg.slots_per_thread.  Reused

@@ -6,9 +6,14 @@
 //    enter() publishes the current era and activates the slot; leave()
 //    detaches the slot's accumulated list and decrements the reference
 //    count of every batch that appears on it.
-//  * retire() accumulates nodes into a per-thread *batch*.  A full batch is
-//    handed to every active slot whose era could allow the owning thread to
-//    hold a reference (slot era >= batch min birth era — the "1S" filter).
+//  * retire() accumulates nodes into a per-thread *batch*: the limbo list
+//    of the shared retire path (LimboHandle), so the threshold check,
+//    mailbox adoption, donation and the background hooks are the limbo
+//    schemes' own.  A full batch is sealed by scan() and handed to every
+//    active slot whose era could allow the owning thread to hold a
+//    reference (slot era >= batch min birth era — the "1S" filter; the
+//    minimum is taken at the seal over the whole chain, adopted nodes
+//    included).
 //    The paper links a distinct member node into each slot, so its batch
 //    needs a node per slot; here the batch handle carries one
 //    {slot_next, batch} entry per record of the registry snapshot and the
@@ -26,12 +31,13 @@
 //    is safe even if the node was concurrently reclaimed (see
 //    reclaim_node.hpp).
 //
-// The reservation slot lives inside the Handle and seal_batch() walks the
-// live registry.  leave() donates the unsealed batch to the domain's retire
-// mailbox — the natural Hyaline handoff, since sealed batches are already
-// owned by "whoever drops the last reference".
+// The reservation slot lives inside the Handle and the seal walks the live
+// registry.  leave() donates the unsealed batch to the domain's retire
+// mailbox without sealing it — the natural Hyaline handoff, since sealed
+// batches are already owned by "whoever drops the last reference".
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
@@ -71,10 +77,11 @@ class HyalineDomain : public DomainCore<HyalineDomain, HyalineHandle> {
   }
 };
 
-class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
+class HyalineHandle : public LimboHandle<HyalineDomain, HyalineHandle> {
  public:
-  using HandleCore::HandleCore;
-  using HandleCore::retire;  // typed retire(Protected<T>) — API v2
+  static constexpr obs::TraceKind kRoundTrace = obs::TraceKind::kSeal;
+
+  using LimboHandle::LimboHandle;
 
   void begin_op() noexcept {
     era_local_ = dom_->clock_.load(std::memory_order_acquire);
@@ -82,7 +89,7 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
     // Activation must be visible to retirers before this operation
     // performs any shared loads (StoreLoad): asymfence::publish of the
     // head, whose edge on the membarrier path is the one heavy barrier
-    // seal_batch() issues before reading the slots (DESIGN.md §5,
+    // the seal issues before reading the slots (DESIGN.md §5,
     // activation case).  The era store above is release-ordered before
     // the head store, so a retirer that sees the slot active also sees an
     // era at least as new as era_local_.
@@ -132,29 +139,9 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
   bool op_valid() const noexcept { return !restart_; }
   void revalidate_op() noexcept { restart_ = false; }
 
-  void retire(ReclaimNode* n) {
-    header_of(n)->debug_state = kNodeRetired;
-    push_to_batch(n);
-    if (!dom_->bg_.is_active() && splice_mailbox() > 0) {
-      obs::count(stats_, obs::Counter::kOrphanAdoptions);
-      obs::trace_instant(obs::TraceKind::kAdopt);
-    }
-    bump(retired, 1);
-    obs::peak(stats_, batch_count_);
-    era_tick();
-    if (batch_count_ >= dom_->bg_.effective_scan_threshold()) {
-      if (dom_->bg_.is_active()) {
-        // Donate the accumulated batch whole; the service thread splices
-        // it into its own batch and runs the seal (with its single heavy
-        // barrier) off the operation path.
-        donate_batch();
-        dom_->bg_.thread.ring();
-        obs::count(stats_, obs::Counter::kBgBatchesDonated);
-      } else {
-        seal_batch();
-      }
-    }
-  }
+  // Hyaline stamps no retire era (the 1S filter compares birth eras), but
+  // its clock ticks on retire as well as on alloc.
+  void on_retire(ReclaimNode*) noexcept { era_tick(); }
 
   std::uint64_t on_alloc_era() noexcept {
     era_tick();
@@ -162,39 +149,25 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
   }
 
   // Test hooks.
-  unsigned pending_batch_size() const noexcept { return batch_count_; }
+  unsigned pending_batch_size() const noexcept { return limbo_.count; }
   std::uint64_t reservation_era() const noexcept { return era_local_; }
 
-  // --- background-reclaimer hooks (service thread only; DESIGN.md §9) ---
-  void bg_collect() { splice_mailbox(); }
-  // Seals at the same batch size as an inline retire; a short batch keeps
-  // accumulating until the next round's adoptions top it up.
+  // Seals only a full batch; a short one waits for the next round's adoptions.
   bool bg_reclaim() {
-    if (batch_count_ == 0 ||
-        batch_count_ < dom_->bg_.effective_scan_threshold())
-      return false;
-    seal_batch();
-    return true;
+    if (limbo_.count < dom_->bg_.effective_scan_threshold()) return false;
+    return LimboHandle::bg_reclaim();
   }
 
-  // --- DomainCore hooks ----------------------------------------------------
-  // The slot must be inactive and drained.  Only the private, unsealed
-  // batch needs a new owner; it is donated whole.
+  // Donates the open batch unsealed; sealed ones belong to their last reader.
   void on_leave() {
     assert(slot_.head.load(std::memory_order_relaxed) == kInactive &&
            "leave() with an operation in flight");
-    if (batch_count_ == 0) return;
-    donate_batch();
-    if (dom_->bg_.is_active()) dom_->bg_.thread.ring();
-    obs::count(stats_, obs::Counter::kOrphanDonations);
-  }
-  ReclaimNode* take_retired() noexcept {
-    ReclaimNode* n = batch_head_;
-    reset_batch();
-    return n;
+    donate_orphans();
   }
 
  private:
+  friend LimboHandle;
+
   struct BatchHandle;
   // A batch's link in one reservation slot's retirement list.  Owned by
   // the batch handle, so it dies with the batch.
@@ -213,60 +186,17 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
   static constexpr std::uintptr_t kInactive = 1;
   static constexpr std::int64_t kGuard = std::int64_t{1} << 62;
 
-  void push_to_batch(ReclaimNode* n) noexcept {
-    const std::uint64_t birth = birth_era_of(n);
-    if (batch_count_ == 0 || birth < batch_min_birth_)
-      batch_min_birth_ = birth;
-    n->smr_next = batch_head_;
-    if (batch_head_ == nullptr) batch_tail_ = n;
-    batch_head_ = n;
-    ++batch_count_;
-  }
-
-  void reset_batch() noexcept {
-    batch_head_ = nullptr;
-    batch_tail_ = nullptr;
-    batch_count_ = 0;
-    batch_min_birth_ = 0;
-  }
-
-  void donate_batch() noexcept {
-    dom_->orphans_.donate(batch_head_, batch_tail_);
-    reset_batch();
-  }
-
-  // Splices every donated retire (departed threads' unsealed batches and,
-  // with the reclaimer running, mutators' full batches) from the domain's
-  // retire mailbox into this thread's batch, restoring the min-birth
-  // bound.  Returns the number of nodes adopted (0 = the mailbox was raced
-  // empty).
-  unsigned splice_mailbox() noexcept {
-    if (dom_->orphans_.empty()) return 0;
-    ReclaimNode* n = dom_->orphans_.take_all();
-    unsigned adopted = 0;
-    while (n != nullptr) {
-      ReclaimNode* next = n->smr_next;
-      push_to_batch(n);
-      ++adopted;
-      n = next;
-    }
-    return adopted;
-  }
-
-  // Hands the accumulated batch to all active, era-overlapping slots.
-  // The batch seal is Hyaline's reclaim cadence, so it carries the kScans
-  // counter and the scan-latency histogram (nodes are counted as
-  // reclaimed later, in free_batch, when the last reference drops).
-  void seal_batch() {
-    obs::TraceSpan span(obs::TraceKind::kSeal);
-    const std::uint64_t stats_t0 = obs::scan_begin(stats_);
-    // Surface in-flight activations before reading the slots: every node
-    // in this batch was unlinked before it was retired, so an activation
-    // the barrier does not surface belongs to a thread whose shared
-    // loads are all ordered after those unlinks — it cannot reach any
-    // node of this batch, and skipping its slot is safe (DESIGN.md §5).
-    scan_barrier();
-    // Snapshot the registry AFTER the barrier.  Records pushed after
+  // scan()'s body, the batch seal: hands the limbo chain, as one batch, to
+  // all active, era-overlapping slots.  The seal is Hyaline's reclaim
+  // round, so it carries the kScans counter and the scan-latency histogram.
+  // Nodes are counted as reclaimed in free_batch, when the last reference
+  // drops: here only if no slot took the batch, else in some end_op.
+  void reclaim_limbo() {
+    // The 1S filter's bound: the oldest birth era in the chain.
+    std::uint64_t min_birth = ~std::uint64_t{0};
+    for (const ReclaimNode* n = limbo_.head; n != nullptr; n = n->smr_next)
+      min_birth = std::min(min_birth, birth_era_of(n));
+    // Snapshot the registry after scan()'s barrier.  Records pushed after
     // this read are skippable by the same argument as an un-surfaced
     // activation; records in the snapshot cover every thread that could
     // hold a reference into this batch (DESIGN.md §7).
@@ -275,8 +205,8 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
     for (auto* r = snap; r != nullptr; r = r->next_record()) ++len;
     auto* bh = new BatchHandle;
     bh->refs.store(kGuard, std::memory_order_relaxed);
-    bh->first = batch_head_;
-    bh->count = batch_count_;
+    bh->count = limbo_.count;
+    bh->first = limbo_.take();
     bh->entries.reset(new SlotEntry[len]);
 
     std::int64_t inserted = 0;
@@ -285,7 +215,7 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
       std::uintptr_t h = slot.head.load(std::memory_order_acquire);
       for (;;) {
         if (h == kInactive) break;
-        if (slot.era.load(std::memory_order_acquire) < batch_min_birth_) {
+        if (slot.era.load(std::memory_order_acquire) < min_birth) {
           // 1S filter: the slot's thread entered before any node in this
           // batch was born; it would have restarted rather than hold a
           // reference into the batch.
@@ -302,8 +232,6 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
         }
       }
     }
-    reset_batch();
-    obs::scan_end(stats_, stats_t0);
     adjust(bh, inserted - kGuard);
   }
 
@@ -339,7 +267,7 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
   }
 
   // Aligned and sized to whole false-sharing ranges: remote retirers
-  // exchange `head`, so the owner's batch_* fields must not share its line.
+  // exchange `head`, so the owner's own fields must not share its line.
   struct alignas(kFalseSharingRange) SlotData {
     std::atomic<std::uintptr_t> head{kInactive};
     std::atomic<std::uint64_t> era{0};
@@ -349,10 +277,6 @@ class HyalineHandle : public HandleCore<HyalineDomain, HyalineHandle> {
   SlotData slot_;
   std::uint64_t era_local_ = 0;
   bool restart_ = false;
-  ReclaimNode* batch_head_ = nullptr;
-  ReclaimNode* batch_tail_ = nullptr;
-  unsigned batch_count_ = 0;
-  std::uint64_t batch_min_birth_ = 0;
 };
 
 }  // namespace scot

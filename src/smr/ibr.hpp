@@ -30,8 +30,6 @@
 
 #include "common/asymfence.hpp"
 #include "common/chunked_list.hpp"
-#include "obs/stats.hpp"
-#include "obs/trace.hpp"
 #include "smr/domain_core.hpp"
 
 namespace scot {
@@ -60,7 +58,6 @@ class IbrDomain : public DomainCore<IbrDomain, IbrHandle> {
 
 class IbrHandle : public LimboHandle<IbrDomain, IbrHandle> {
  public:
-  static constexpr bool kRetireEras = true;
   static constexpr std::uint64_t kIdle = IbrDomain::kIdle;
 
   using LimboHandle::LimboHandle;
@@ -112,21 +109,6 @@ class IbrHandle : public LimboHandle<IbrDomain, IbrHandle> {
     return dom_->clock_.load(std::memory_order_acquire);
   }
 
-  void scan() {
-    obs::TraceSpan span(obs::TraceKind::kScan);
-    const std::uint64_t stats_t0 = obs::scan_begin(stats_);
-    // Heavy barrier before the snapshot; the registry head is read after
-    // it, so records of late-joining threads are covered by the same
-    // argument (DESIGN.md §7).
-    scan_barrier();
-    snapshot_.clear();
-    dom_->collect_intervals(snapshot_);
-    free_unreserved([&](ReclaimNode* n) {
-      return lifetime_reserved(birth_era_of(n), n->retire_era);
-    });
-    obs::scan_end(stats_, stats_t0);
-  }
-
   // DomainCore hook: the interval must be idle.
   void on_leave() {
     assert(res_upper_.load(std::memory_order_relaxed) == kIdle &&
@@ -136,6 +118,17 @@ class IbrHandle : public LimboHandle<IbrDomain, IbrHandle> {
 
  private:
   friend class IbrDomain;
+  friend LimboHandle;
+
+  // scan()'s body: frees every limbo node whose lifetime no published
+  // interval overlaps.
+  void reclaim_limbo() {
+    snapshot_.clear();
+    dom_->collect_intervals(snapshot_);
+    free_unreserved([&](ReclaimNode* n) {
+      return lifetime_reserved(birth_era_of(n), n->retire_era);
+    });
+  }
 
   bool lifetime_reserved(std::uint64_t birth,
                          std::uint64_t retire) noexcept {

@@ -30,7 +30,6 @@ class NoReclaimDomain : public DomainCore<NoReclaimDomain, NrHandle> {
 class NrHandle : public HandleCore<NoReclaimDomain, NrHandle> {
  public:
   using HandleCore::HandleCore;
-  using HandleCore::retire;  // typed retire(Protected<T>) — API v2
 
   void begin_op() noexcept {}
   void end_op() noexcept {}

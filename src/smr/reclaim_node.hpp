@@ -34,9 +34,10 @@ struct ReclaimNode {
   std::uint64_t retire_era = 0;
 
   // Multi-purpose link, used at mutually exclusive lifecycle stages:
-  //  - limbo-list link (EBR/HP/HE/IBR),
-  //  - batch-membership link (Hyaline; its slot lists link the batch
-  //    handle's own entries, not nodes),
+  //  - limbo-list and retire-mailbox link (every reclaiming scheme; for
+  //    Hyaline the limbo list is the open batch, and a sealed batch keeps
+  //    the chain — its slot lists link the batch handle's own entries, not
+  //    nodes),
   //  - pool free-list link (after reclamation).
   ReclaimNode* smr_next = nullptr;
 };

@@ -11,13 +11,14 @@
 //    point of the exercise — no process-wide heavy barrier on any mutator.
 //
 //  * The service thread runs rounds: adopt every donated chain (mutator
-//    batches and leave() orphans alike), then run the scheme's ONE existing scan/seal entry point,
-//    which issues exactly one `asymfence::heavy_barrier()` for the whole
-//    adopted backlog.  The IPI the PR 5 asymmetric-fence discipline pays per
-//    scanning mutator is thereby amortized across every thread's batches.
-//    Inline and background reclamation share the same scan()/seal_batch()
-//    implementation — the reclaimer is just another registered handle, so
-//    snapshot scratch, pool shard and stats cell all come for free.
+//    batches and leave() orphans alike), then run the one reclaim round,
+//    LimboHandle::scan() (for Hyaline, the batch seal), which issues
+//    exactly one `asymfence::heavy_barrier()` for the whole adopted
+//    backlog.  The IPI the asymmetric-fence discipline (DESIGN.md §5) pays
+//    per scanning mutator is thereby amortized across every thread's
+//    batches.  Inline and background reclamation share that one scan() —
+//    the reclaimer is just another registered handle, so snapshot scratch,
+//    pool shard and stats cell all come for free.
 //
 //  * The service thread also owns adaptive control: when the domain is
 //    configured with a `memory_target`, each round compares the pending-node
@@ -129,9 +130,9 @@ struct ReclaimControl {
 };
 
 // A handle the service thread can drive: the two background hooks.
-//   bg_collect()            adopt the retire mailbox into own limbo/batch
-//   bg_reclaim()  -> bool   run the shared scan/seal entry point if there
-//                           is anything to reclaim; true if it ran
+//   bg_collect()            adopt the retire mailbox into own limbo list
+//   bg_reclaim()  -> bool   run the shared scan() if there is anything
+//                           to reclaim; true if it ran
 // NR's handle has neither (it never reclaims), so its domain keeps an inert
 // background surface.
 template <class Handle>

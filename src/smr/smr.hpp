@@ -34,7 +34,7 @@ concept SmrDomain =
              ProtectionSlot<typename D::Handle, ReclaimNode> slot,
              const std::atomic<ReclaimNode*>& src,
              const StableAtomic<marked_ptr<ReclaimNode>>& link,
-             Protected<ReclaimNode> p, ReclaimNode* n, unsigned idx) {
+             ReclaimNode* n, unsigned idx) {
       { D::kName } -> std::convertible_to<const char*>;
       { D::kRobust } -> std::convertible_to<bool>;
       { d.config() } -> std::convertible_to<const SmrConfig&>;
@@ -59,7 +59,6 @@ concept SmrDomain =
       { h.op_valid() } -> std::convertible_to<bool>;
       h.revalidate_op();
       h.retire(n);
-      h.retire(p);
 
       { g.handle() } -> std::same_as<typename D::Handle&>;
       { g.valid() } -> std::convertible_to<bool>;

@@ -3,7 +3,7 @@
 // engages automatically, and the reclaimer side still quiesces readers on
 // both paths.  Covers the slot schemes (HP/HPopt protect publication) and
 // the era schemes (EBR/IBR/Hyaline begin_op activation, HE first-slot publish;
-// Hyaline's "scan" is the retire-batch handoff plus the end_op drain).
+// Hyaline's scan is the batch seal plus the end_op drain).
 #include <gtest/gtest.h>
 
 #include "common/asymfence.hpp"
@@ -32,14 +32,6 @@ using FenceBearingSchemes =
     ::testing::Types<HpDomain, HpOptDomain, HeDomain, IbrDomain, EbrDomain,
                      HyalineDomain>;
 TYPED_TEST_SUITE(AsymFenceTest, FenceBearingSchemes);
-
-// Hyaline has no scan(): its reclaimer side is the retire-batch handoff,
-// and a parked batch is freed when the last reservation holding it drains
-// (the reader's end_op).  The other schemes expose an explicit scan.
-template <class Handle>
-void reclaim_after_release(Handle& writer) {
-  if constexpr (requires { writer.scan(); }) writer.scan();
-}
 
 // Knob off runs exactly the discipline a host without membarrier runs.
 TYPED_TEST(AsymFenceTest, KnobOffResolvesFallbackPath) {
@@ -100,7 +92,7 @@ TYPED_TEST(AsymFenceTest, FallbackScansStillQuiesceReaders) {
     EXPECT_EQ(static_cast<TestNode*>(got)->payload, 42u);
     reader.end_op();
 
-    reclaim_after_release(writer);
+    writer.scan();
     EXPECT_EQ(header_of(victim)->debug_state, kNodeFreed)
         << "after release the fallback reclaimer must reclaim the node"
         << (knob_off ? " (knob off)" : " (forced)");

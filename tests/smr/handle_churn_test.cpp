@@ -142,10 +142,8 @@ TYPED_TEST(ReclaimingChurnTest, LeaveDonatesAndRetirerAdopts) {
   reader->end_op();
   // The reader is now also the only retirer; its next retires must adopt
   // the orphans, and with no protections left a scan frees the lot.
-  // (Hyaline has no explicit scan — its per-batch handoff already freed
-  // everything except the small unsealed remainder.)
   churn_retire(*reader, 64);
-  if constexpr (requires { reader->scan(); }) reader->scan();
+  reader->scan();
   EXPECT_LE(dom.pending_nodes(), 16);
 }
 

@@ -175,6 +175,48 @@ TEST(Hyaline, EraFilterSkipsPreEntryThreads) {
   stalled.end_op();
 }
 
+TEST(Hyaline, FilterBoundCoversAdoptedOrphans) {
+  // The 1S filter must take the oldest birth era over the whole sealed
+  // batch, adopted orphans included: a reader that entered after the
+  // orphan was born, but before the sealer's own nodes were, may still
+  // hold the orphan.
+  auto cfg = test::small_config(4);
+  cfg.era_freq = 1;  // every allocation advances the era
+  cfg.batch_capacity = 3;
+  HyalineDomain smr(cfg);
+  auto reader_h = scoped_handle(smr);
+  auto writer_h = scoped_handle(smr);
+  auto& reader = reader_h.get();
+  auto& writer = writer_h.get();
+  TestNode* orphan;
+  {
+    auto departing = scoped_handle(smr);
+    orphan = departing->template alloc<TestNode>(std::uint64_t{1});  // E1
+    departing->retire(orphan);
+  }  // leave() donates the open batch unsealed
+  ASSERT_EQ(smr.pending_nodes(), 1);
+  ASSERT_EQ(smr.stats().reclaimed_total, 0u);
+
+  reader.begin_op();  // E2 > E1: the retire above ticked the clock
+  ASSERT_GT(reader.reservation_era(), birth_era_of(orphan));
+  auto* young2 = writer.template alloc<TestNode>(std::uint64_t{2});
+  auto* young3 = writer.template alloc<TestNode>(std::uint64_t{3});
+  ASSERT_GT(birth_era_of(young2), reader.reservation_era());
+  ASSERT_GT(birth_era_of(young3), reader.reservation_era());
+
+  writer.retire(young2);  // adopts the orphan: the batch holds two nodes
+  EXPECT_EQ(writer.pending_batch_size(), 2u);
+  writer.retire(young3);  // capacity reached: the batch seals
+  EXPECT_EQ(writer.pending_batch_size(), 0u) << "the batch must have sealed";
+  EXPECT_EQ(smr.stats().reclaimed_total, 0u)
+      << "the reader's slot must keep a batch holding a node born before "
+         "its era";
+  EXPECT_EQ(header_of(orphan)->debug_state, kNodeRetired);
+  reader.end_op();
+  EXPECT_EQ(smr.stats().reclaimed_total, 3u);
+  EXPECT_EQ(smr.pending_nodes(), 0);
+}
+
 TEST(Hyaline, CrossThreadReclamationMigratesMemory) {
   auto cfg = test::small_config(2);
   HyalineDomain smr(cfg);

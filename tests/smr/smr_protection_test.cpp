@@ -102,17 +102,7 @@ TYPED_TEST(SmrProtectionTest, ReleasedNodeIsEventuallyReclaimed) {
 
     // Force one reclamation pass without any further allocation, so the
     // victim's cell cannot be recycled before we inspect it.
-    if constexpr (requires { writer.scan(); }) {
-      writer.scan();
-    } else {
-      // Hyaline has no scan; fill the open batch to exactly capacity so the
-      // seal (and with no active slots, the free) happens on the last
-      // retire, after all allocations.
-      auto* f1 = writer.template alloc<TestNode>(std::uint64_t{0});
-      auto* f2 = writer.template alloc<TestNode>(std::uint64_t{0});
-      writer.retire(f1);
-      writer.retire(f2);
-    }
+    writer.scan();
     EXPECT_EQ(header_of(victim)->debug_state, kNodeFreed)
         << "after protection release the node must be reclaimable";
   }
