@@ -27,11 +27,18 @@
 // On failure the operation restarts; per §3.2.2 the recovery optimization
 // does not pay off for trees, so none is attempted.
 //
-// Sentinels.  R(rank 3) -> { S(rank 2), leaf(rank 3) }, S -> { leaf(rank 1),
-// leaf(rank 2) }; real keys (rank 0) sort below every sentinel rank, so all
-// user data lives in S's left subtree and R/S are immortal: no deletable
-// leaf ever has them as its parent, hence their edges are never flagged or
-// tagged and the seek anchors are always live.
+// Sentinels.  R -> { leaf_a, S }, S -> { leaf_b, min_leaf }.  The three
+// sentinel leaves stand for -infinity and are told from real leaves by
+// address, never by key, so every Key value is a usable key.  All user
+// data lives in S.right's subtree, whose leftmost leaf is always min_leaf.
+// An insert at a leaf builds its internal node with key max(key, leaf);
+// against min_leaf that is the real key, so no internal node ever carries
+// an infinite key and routing at an internal node is one comparison.
+// R and S are immortal: min_leaf matches no key, so it is never deleted
+// and stays leftmost, hence S.right points at min_leaf or at an internal
+// node, never straight at a real leaf.  No deletable leaf ever has R or S
+// as its parent, so their edges are never flagged or tagged and the seek
+// anchors are always live.
 #pragma once
 
 #include <cassert>
@@ -58,15 +65,13 @@ class NatarajanMittalTree {
   // (DESIGN.md §4).
   struct Node : ReclaimNode {
     Key key;
-    Value value;        // meaningful for leaves only
-    std::uint8_t rank;  // 0 = real key; 1..3 = sentinel infinities
+    Value value;  // meaningful for leaves only
     StableAtomic<marked_ptr<Node>> left;
     StableAtomic<marked_ptr<Node>> right;
 
-    Node(const Key& k, const Value& v, std::uint8_t r)
+    Node(const Key& k, const Value& v)
         : key(k),
           value(v),
-          rank(r),
           left(marked_ptr<Node>{}),
           right(marked_ptr<Node>{}) {}
   };
@@ -95,15 +100,15 @@ class NatarajanMittalTree {
     require_slots(smr_, kSlotsRequired);
     auto sh = scoped_handle(smr_);
     auto& h = sh.get();
-    Node* leaf1 = h.template alloc<Node>(Key{}, Value{}, 1);
-    Node* leaf2 = h.template alloc<Node>(Key{}, Value{}, 2);
-    Node* leaf3 = h.template alloc<Node>(Key{}, Value{}, 3);
-    s_ = h.template alloc<Node>(Key{}, Value{}, 2);
-    s_->left.store(MP(leaf1), std::memory_order_relaxed);
-    s_->right.store(MP(leaf2), std::memory_order_relaxed);
-    r_ = h.template alloc<Node>(Key{}, Value{}, 3);
-    r_->left.store(MP(s_), std::memory_order_relaxed);
-    r_->right.store(MP(leaf3), std::memory_order_release);
+    Node* leaf_a = h.template alloc<Node>(Key{}, Value{});
+    Node* leaf_b = h.template alloc<Node>(Key{}, Value{});
+    min_leaf_ = h.template alloc<Node>(Key{}, Value{});
+    s_ = h.template alloc<Node>(Key{}, Value{});
+    s_->left.store(MP(leaf_b), std::memory_order_relaxed);
+    s_->right.store(MP(min_leaf_), std::memory_order_relaxed);
+    r_ = h.template alloc<Node>(Key{}, Value{});
+    r_->left.store(MP(leaf_a), std::memory_order_relaxed);
+    r_->right.store(MP(s_), std::memory_order_release);
   }
 
   ~NatarajanMittalTree() {
@@ -150,21 +155,19 @@ class NatarajanMittalTree {
         continue;
       }
       if (new_leaf == nullptr) {
-        new_leaf = h.template alloc<Node>(key, value, 0);
-        new_internal = h.template alloc<Node>(Key{}, Value{}, 0);
+        new_leaf = h.template alloc<Node>(key, value);
+        new_internal = h.template alloc<Node>(Key{}, Value{});
       }
       // Route the new internal node: its key is the larger of the two, the
-      // smaller goes left.  s.leaf is hazard-protected, so reading its
-      // immutable key/rank is safe even if it lost a race meanwhile (the
-      // CAS below would then fail).
-      if (key_less_than_node(key, s.leaf)) {
+      // smaller goes left.  min_leaf is -infinity, tested by address; any
+      // other s.leaf is protected, so reading its immutable key is safe even
+      // if it lost a race meanwhile (the CAS below would then fail).
+      if (s.leaf != min_leaf_ && cmp_(key, s.leaf->key)) {
         new_internal->key = s.leaf->key;
-        new_internal->rank = s.leaf->rank;
         new_internal->left.store(MP(new_leaf), std::memory_order_relaxed);
         new_internal->right.store(MP(s.leaf), std::memory_order_relaxed);
       } else {
         new_internal->key = key;
-        new_internal->rank = 0;
         new_internal->left.store(MP(s.leaf), std::memory_order_relaxed);
         new_internal->right.store(MP(new_leaf), std::memory_order_relaxed);
       }
@@ -248,7 +251,7 @@ class NatarajanMittalTree {
   std::size_t size_unsafe() const {
     std::size_t n = 0;
     visit_leaves(r_, false, [&](const Node* leaf, bool flagged) {
-      if (leaf->rank == 0 && !flagged) ++n;
+      if (!is_sentinel_leaf(leaf) && !flagged) ++n;
     });
     return n;
   }
@@ -274,27 +277,22 @@ class NatarajanMittalTree {
     MP leaf_edge;      // its value as read (bits included)
   };
 
-  // key < node under the rank ordering (sentinel ranks exceed all keys).
-  bool key_less_than_node(const Key& key, const Node* n) const {
-    return n->rank != 0 || cmp_(key, n->key);
-  }
+  // A seek ends only at min_leaf or a real leaf (the sentinel discussion
+  // above), so min_leaf is the one sentinel to tell apart, by address.
   bool leaf_matches(const Node* leaf, const Key& key) const {
-    return leaf->rank == 0 && !cmp_(leaf->key, key) && !cmp_(key, leaf->key);
+    return leaf != min_leaf_ && !cmp_(leaf->key, key) && !cmp_(key, leaf->key);
   }
+  // Routing at an internal node, whose key is always a real key.
   Link* child_field(Node* n, const Key& key) const {
-    return key_less_than_node(key, n) ? &n->left : &n->right;
-  }
-  Link* sibling_field(Node* n, const Key& key) const {
-    return key_less_than_node(key, n) ? &n->right : &n->left;
+    return cmp_(key, n->key) ? &n->left : &n->right;
   }
 
   // SCOT-protected seek (paper §3.3).
   void seek(Guard& g, Hp& hp, const Key& key, SeekRecord& s) {
-    while (!try_seek(g, hp, key, s)) ++g.handle().ds_restarts;
+    for (g.revalidate(); !try_seek(g, hp, key, s);) g.restart();
   }
 
   bool try_seek(Guard& g, Hp& hp, const Key& key, SeekRecord& s) {
-    g.revalidate();
     // Anchors are immortal (see the sentinel discussion above), so plain
     // publication suffices.
     hp.anc.publish(r_);
@@ -303,16 +301,18 @@ class NatarajanMittalTree {
     s.ancestor = r_;
     s.successor = s_;
     s.parent = s_;
-    s.succ_field = &r_->left;
+    s.succ_field = &r_->right;
     s.succ_expect = MP(s_);
-    s.leaf_field = &s_->left;
-    s.leaf_edge = hp.leaf.protect(s_->left);
+    s.leaf_field = &s_->right;
+    s.leaf_edge = hp.leaf.protect(s_->right);
     if (!g.valid()) return false;
-    s.leaf = s.leaf_edge.ptr();  // sentinel leaf1 at minimum
+    s.leaf = s.leaf_edge.ptr();  // min_leaf at minimum
     for (;;) {
       // Route one level down.  Dereferencing s.leaf here is safe: it was
       // protected by the previous protect() and, when its incoming edge
       // carried deletion bits, re-validated below before this iteration.
+      // A leaf has no children, so the side routing picks there (even
+      // min_leaf's, whose key is no real key) does not matter.
       Link* cf = child_field(s.leaf, key);
       MP child_edge = hp.child.protect(*cf);
       if (!g.valid()) return false;
@@ -355,7 +355,7 @@ class NatarajanMittalTree {
   bool cleanup(Handle& h, const Key& key, SeekRecord& s) {
     Node* parent = s.parent;
     Link* child_f = child_field(parent, key);
-    Link* sibling_f = sibling_field(parent, key);
+    Link* sibling_f = child_f == &parent->left ? &parent->right : &parent->left;
     MP child_val = child_f->load(std::memory_order_seq_cst);
     if (!child_val.flagged()) {
       // The flagged edge is the other one: we are helping a deletion whose
@@ -439,8 +439,8 @@ class NatarajanMittalTree {
   }
 
   // In-order walk checking: external shape (both children or neither), flag
-  // only on edges to leaves, and non-decreasing leaf order under the
-  // (rank, key) ordering.
+  // only on edges to leaves, and non-decreasing leaf order with the
+  // sentinel leaves at -infinity.
   void check_node(const Node* n, bool* ok, const Node** last) const {
     const MP l = n->left.load(std::memory_order_acquire);
     const MP r = n->right.load(std::memory_order_acquire);
@@ -464,12 +464,20 @@ class NatarajanMittalTree {
   }
 
   bool node_less(const Node* a, const Node* b) const {
-    if (a->rank != b->rank) return a->rank < b->rank;
-    return a->rank == 0 && cmp_(a->key, b->key);
+    return !is_sentinel_leaf(b) &&
+           (is_sentinel_leaf(a) || cmp_(a->key, b->key));
   }
 
-  Node* r_ = nullptr;  // root sentinel (rank 3)
-  Node* s_ = nullptr;  // second sentinel (rank 2)
+  // R's and S's left leaves never change, so the checkers read them there.
+  bool is_sentinel_leaf(const Node* n) const {
+    return n == min_leaf_ ||
+           n == r_->left.load(std::memory_order_relaxed).ptr() ||
+           n == s_->left.load(std::memory_order_relaxed).ptr();
+  }
+
+  Node* r_ = nullptr;         // root sentinel
+  Node* s_ = nullptr;         // second sentinel, over every real key
+  Node* min_leaf_ = nullptr;  // leftmost leaf of S.right's subtree
   Smr& smr_;
   [[no_unique_address]] Compare cmp_;
 };

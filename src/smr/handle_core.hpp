@@ -241,7 +241,8 @@ class HandleCore {
 // reservations, then free every limbo node they do not cover
 // (free_unreserved), or, for Hyaline, seal the limbo into one batch and
 // hand it to the slots that could reach it.  Derived may hide on_retire(),
-// the retire-time era step.
+// the retire-time era step, and on_adopt(), its counterpart for a node
+// adopted from the retire mailbox.
 template <class Domain, class Derived>
 class LimboHandle : public HandleCore<Domain, Derived> {
   using Base = HandleCore<Domain, Derived>;
@@ -287,6 +288,8 @@ class LimboHandle : public HandleCore<Domain, Derived> {
     n->retire_era = dom_->clock_.load(std::memory_order_acquire);
     this->era_tick();
   }
+  // The limbo schemes stamped an adopted node when it was first retired.
+  void on_adopt(ReclaimNode*) noexcept {}
 
   // One reclaim round over the whole limbo list.  The heavy barrier comes
   // before the reservations are read: every limbo node was unlinked before
@@ -356,6 +359,7 @@ class LimboHandle : public HandleCore<Domain, Derived> {
     unsigned adopted = 0;
     while (n != nullptr) {
       ReclaimNode* next = n->smr_next;
+      this->derived()->on_adopt(n);
       limbo_.push(n);
       ++adopted;
       n = next;

@@ -12,8 +12,8 @@
 //    schemes' own.  A full batch is sealed by scan() and handed to every
 //    active slot whose era could allow the owning thread to hold a
 //    reference (slot era >= batch min birth era — the "1S" filter; the
-//    minimum is taken at the seal over the whole chain, adopted nodes
-//    included).
+//    minimum is kept as nodes join the batch, adopted nodes included, so
+//    the seal walks no chain).
 //    The paper links a distinct member node into each slot, so its batch
 //    needs a node per slot; here the batch handle carries one
 //    {slot_next, batch} entry per record of the registry snapshot and the
@@ -141,7 +141,8 @@ class HyalineHandle : public LimboHandle<HyalineDomain, HyalineHandle> {
 
   // Hyaline stamps no retire era (the 1S filter compares birth eras), but
   // its clock ticks on retire as well as on alloc.
-  void on_retire(ReclaimNode*) noexcept { era_tick(); }
+  void on_retire(ReclaimNode* n) noexcept { note_birth(n); era_tick(); }
+  void on_adopt(ReclaimNode* n) noexcept { note_birth(n); }
 
   std::uint64_t on_alloc_era() noexcept {
     era_tick();
@@ -192,10 +193,6 @@ class HyalineHandle : public LimboHandle<HyalineDomain, HyalineHandle> {
   // Nodes are counted as reclaimed in free_batch, when the last reference
   // drops: here only if no slot took the batch, else in some end_op.
   void reclaim_limbo() {
-    // The 1S filter's bound: the oldest birth era in the chain.
-    std::uint64_t min_birth = ~std::uint64_t{0};
-    for (const ReclaimNode* n = limbo_.head; n != nullptr; n = n->smr_next)
-      min_birth = std::min(min_birth, birth_era_of(n));
     // Snapshot the registry after scan()'s barrier.  Records pushed after
     // this read are skippable by the same argument as an un-surfaced
     // activation; records in the snapshot cover every thread that could
@@ -215,7 +212,7 @@ class HyalineHandle : public LimboHandle<HyalineDomain, HyalineHandle> {
       std::uintptr_t h = slot.head.load(std::memory_order_acquire);
       for (;;) {
         if (h == kInactive) break;
-        if (slot.era.load(std::memory_order_acquire) < min_birth) {
+        if (slot.era.load(std::memory_order_acquire) < min_birth_) {
           // 1S filter: the slot's thread entered before any node in this
           // batch was born; it would have restarted rather than hold a
           // reference into the batch.
@@ -233,6 +230,17 @@ class HyalineHandle : public LimboHandle<HyalineDomain, HyalineHandle> {
       }
     }
     adjust(bh, inserted - kGuard);
+  }
+
+  // Folds a node joining the limbo list into min_birth_, the 1S filter's
+  // bound: the oldest birth era in the chain, read while the node is hot.
+  // Called before the push, so the first node after any take (seal,
+  // donation, teardown) restarts the minimum.  Only a bound too high is
+  // unsafe (a slot that may hold a reference would be skipped); one too
+  // low merely hands the batch to more slots.
+  void note_birth(const ReclaimNode* n) noexcept {
+    const std::uint64_t b = birth_era_of(n);
+    min_birth_ = limbo_.count == 0 ? b : std::min(min_birth_, b);
   }
 
   void drain(std::uintptr_t list) noexcept {
@@ -276,6 +284,7 @@ class HyalineHandle : public LimboHandle<HyalineDomain, HyalineHandle> {
   // Reservation slot, isolated from every other field by its type.
   SlotData slot_;
   std::uint64_t era_local_ = 0;
+  std::uint64_t min_birth_ = 0;  // valid while limbo_ is non-empty
   bool restart_ = false;
 };
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/list_common.hpp"
+#include "core/nm_tree.hpp"
 #include "tests/test_util.hpp"
 
 namespace scot {
@@ -168,6 +169,14 @@ TEST(NodePool, ListNodeFillsOneCacheLine) {
   EXPECT_EQ(sizeof(ReclaimNode), 16u);
   using U64Node = ListNode<std::uint64_t, std::uint64_t>;
   EXPECT_EQ(sizeof(AllocHeader) + sizeof(U64Node), 64u);
+}
+
+TEST(NodePool, TreeNodeFillsOneCacheLine) {
+  // The tree tells its sentinels apart by address, so a u64 tree node is a
+  // key, a value and two links: with its header, one 64-byte cell too.
+  using TreeNode = NatarajanMittalTree<std::uint64_t, std::uint64_t,
+                                       HpDomain>::Node;
+  EXPECT_EQ(sizeof(AllocHeader) + sizeof(TreeNode), 64u);
 }
 
 TEST(NodePool, LineSizedCellsNeverStraddleALine) {

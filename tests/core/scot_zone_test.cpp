@@ -3,8 +3,8 @@
 // chains (optimistic traversal), updates must prune whole chains with one
 // CAS, and the recovery optimization must engage instead of full restarts
 // when the last safe node stays live.  RoleRotationStress runs the
-// role-renaming traversals (both lists, the skip list and the kv map)
-// against a scan on every retire.
+// role-renaming traversals (both lists, the skip list and the kv map) and
+// the tree's copying seek against a scan on every retire.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -175,9 +175,10 @@ TYPED_TEST(ScotZoneTest, ConcurrentZoneTraversalVsPruning) {
 
 // Every retire scans (scan_threshold = 1), so under HP and HE a node is
 // freed as soon as no slot covers it.  The lists, the skip list and the kv
-// map advance by renaming protection roles instead of copying protections;
-// if a rename ever left a node the traversal still relies on without a slot
-// naming it, readers here would walk freed, recycled nodes.
+// map advance by renaming protection roles instead of copying protections,
+// and the tree by ascending copies; if a step ever left a node the
+// traversal still relies on without a slot naming it, readers here would
+// walk freed, recycled nodes.
 template <class Smr>
 class RoleRotationStress : public ::testing::Test {
  protected:
@@ -326,6 +327,15 @@ TYPED_TEST(RoleRotationStress, SkipList) {
   TypeParam smr(this->every_retire_scans());
   SkipList<Key, Val, TypeParam, SkipListTraits, StallingLess> list(smr);
   rotation_stress(smr, list);
+}
+
+// The tree has no mark-only hook, so the writer erases: each erase flags a
+// leaf and tags its sibling edge, and readers cross those edges on the way
+// to the leaf they stall on.
+TYPED_TEST(RoleRotationStress, NMTree) {
+  TypeParam smr(this->every_retire_scans());
+  NatarajanMittalTree<Key, Val, TypeParam, StallingLess> tree(smr);
+  rotation_stress(smr, tree);
 }
 
 // The same group schedule over string keys.  The kv map has no mark-only

@@ -161,6 +161,33 @@ TYPED_TEST(TreeSemanticsTest, CustomComparator) {
   EXPECT_EQ(tree.size_unsafe(), 3u);
 }
 
+TYPED_TEST(TreeSemanticsTest, ExtremeKeysUnderReversedOrder) {
+  // The sentinel leaves carry Key{} (0), which std::greater ranks last;
+  // they are told apart by address, so 0 and max are ordinary keys.
+  TypeParam smr(test::small_config());
+  NatarajanMittalTree<Key, Val, TypeParam, std::greater<Key>> tree(smr);
+  auto sh = scoped_handle(smr);
+  auto& h = *sh;
+  const Key hi = std::numeric_limits<Key>::max();
+  EXPECT_FALSE(tree.contains(h, 0));
+  EXPECT_FALSE(tree.erase(h, 0));
+  EXPECT_TRUE(tree.insert(h, 0, 1));
+  EXPECT_TRUE(tree.check_structure_unsafe());
+  EXPECT_TRUE(tree.insert(h, hi, 2));
+  EXPECT_TRUE(tree.check_structure_unsafe());
+  EXPECT_FALSE(tree.insert(h, 0, 3));
+  EXPECT_EQ(tree.get(h, 0).value_or(0), 1u);
+  EXPECT_EQ(tree.get(h, hi).value_or(0), 2u);
+  EXPECT_EQ(tree.size_unsafe(), 2u);
+  EXPECT_TRUE(tree.erase(h, 0));
+  EXPECT_TRUE(tree.check_structure_unsafe());
+  EXPECT_FALSE(tree.contains(h, 0));
+  EXPECT_TRUE(tree.contains(h, hi));
+  EXPECT_TRUE(tree.erase(h, hi));
+  EXPECT_TRUE(tree.check_structure_unsafe());
+  EXPECT_EQ(tree.size_unsafe(), 0u);
+}
+
 // The tree's traversal uses six protection slots; a domain that gives each
 // handle fewer must be refused at construction instead of letting HP index
 // past its slot array.
